@@ -38,9 +38,9 @@
 //
 // Inside a shard, the propagation hot path runs on flat storage: the
 // probabilistic ER graph is compressed sparse row with precomputed
-// −log-probability edge lengths and a mirrored in-CSR (removed edges
-// zero their slot; post-build additions live in an overlay folded back
-// in on re-estimation rebuilds), each Dijkstra worker reuses a pooled
+// −log-probability edge lengths and a mirrored in-CSR (detached vertices
+// zero their slots; re-estimation builds a fresh graph and re-detaches),
+// each Dijkstra worker reuses a pooled
 // epoch-stamped dense scratch with an index-typed 4-ary heap, emitted
 // inferred sets are sorted (index, distance) slices rather than maps,
 // and Algorithm 3's benefit state shares the same dense epoch-stamped

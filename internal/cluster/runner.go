@@ -160,45 +160,35 @@ func (r *remoteRunner) Ball(s int, q pair.Pair) ([]pair.Pair, error) {
 }
 
 // Release drops a settled shard's engine. It is a single best-effort
-// attempt: recomputes are diagnostics, the loop never addresses a settled
-// shard again, and burning the failover machinery on a freed engine would
-// re-prepare state only to discard it.
-func (r *remoteRunner) Release(s int) (int64, error) {
+// attempt that also flushes the shard's command log: the loop never
+// addresses a settled shard again, and burning the failover machinery on
+// a freed engine would re-prepare state only to discard it.
+func (r *remoteRunner) Release(s int) {
 	sh := r.shards[s]
 	sh.released = true
 	ctx, cancel := context.WithTimeout(context.Background(), r.co.cfg.RPCTimeout)
 	defer cancel()
 	if !sh.prepared || r.co.workers[sh.worker].isDown() {
-		return 0, nil
+		return
 	}
 	sh.mu.Lock()
 	req := shardReq{Runner: r.id, Shard: s, Cmds: sh.log[sh.flushed:]}
 	sh.mu.Unlock()
-	body, _, err := r.co.workers[sh.worker].call(ctx, MethodRelease, req, true)
-	if err != nil {
-		return 0, nil
-	}
-	var res shardRes
-	if json.Unmarshal(body, &res) != nil {
-		return 0, nil
+	if _, _, err := r.co.workers[sh.worker].call(ctx, MethodRelease, req, true); err != nil {
+		return
 	}
 	sh.mu.Lock()
 	sh.flushed = len(sh.log)
 	sh.mu.Unlock()
-	return res.Recomputes, nil
 }
 
 // Close releases the remaining shards and tells every live worker to drop
-// the runner's state. Always succeeds: close-time recomputes are
-// diagnostics only.
-func (r *remoteRunner) Close() (int64, error) {
-	var n int64
+// the runner's state, best effort.
+func (r *remoteRunner) Close() {
 	for s, sh := range r.shards {
-		if sh.released {
-			continue
+		if !sh.released {
+			r.Release(s)
 		}
-		rec, _ := r.Release(s)
-		n += rec
 	}
 	for _, wc := range r.co.workers {
 		if wc.isDown() {
@@ -208,7 +198,6 @@ func (r *remoteRunner) Close() (int64, error) {
 		wc.call(ctx, MethodEnd, endReq{Runner: r.id}, true)
 		cancel()
 	}
-	return n, nil
 }
 
 // do performs one read RPC on a shard, shipping the pending command tail,

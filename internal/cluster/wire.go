@@ -20,7 +20,7 @@ const (
 	MethodRank = "rank"
 	// MethodBall returns a confirmed match's last-sync propagation ball.
 	MethodBall = "ball"
-	// MethodRelease frees a settled shard's engine, returning recomputes.
+	// MethodRelease frees a settled shard's engine.
 	MethodRelease = "release"
 	// MethodEnd drops every shard of a runner.
 	MethodEnd = "end"
@@ -128,8 +128,6 @@ type shardRes struct {
 	AnyProp bool                  `json:"any_prop,omitempty"`
 	Picks   []selection.Pick      `json:"picks,omitempty"`
 	Ball    []pair.Pair           `json:"ball,omitempty"`
-	// Recomputes is MethodRelease's Dijkstra-run count.
-	Recomputes int64 `json:"recomputes,omitempty"`
 }
 
 // endReq drops every shard state of a finished runner.

@@ -39,11 +39,9 @@ type shardKey struct {
 // coordinator already serializes per-shard traffic, but duplicated
 // frames and re-prepares may race the tail of a previous request.
 type workerShard struct {
-	mu         sync.Mutex
-	st         *core.ShardState
-	applied    int
-	released   bool
-	recomputes int64
+	mu      sync.Mutex
+	st      *core.ShardState
+	applied int
 }
 
 // prepEntry caches one spec's Prepared, including a failed build: every
@@ -290,11 +288,7 @@ func (w *Worker) handleShard(method string, req shardReq) (json.RawMessage, stri
 	case MethodBall:
 		res.Ball = ws.st.Ball(req.Pair)
 	case MethodRelease:
-		if !ws.released {
-			ws.recomputes = ws.st.Release()
-			ws.released = true
-		}
-		res.Recomputes = ws.recomputes
+		ws.st.Release()
 	}
 	return mustMarshal(res), "", nil
 }

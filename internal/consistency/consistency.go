@@ -9,7 +9,10 @@
 // ε), restarted from several initial values — see DESIGN.md §4.
 package consistency
 
-import "math"
+import (
+	"math"
+	"sync/atomic"
+)
 
 // Observation is one initial entity match's view of a relationship pair:
 // the sizes of the two value sets and, optionally, a known lower bound on
@@ -160,21 +163,41 @@ func logChoose(n, k int) float64 {
 	return logFact(n) - logFact(k) - logFact(n-k)
 }
 
-var logFactCache []float64
+// logFacts publishes the table of log(i!) prefix sums. Parallel label
+// fits and concurrent sessions share it, so it grows copy-on-write behind
+// an atomic pointer: readers never lock, and every published table holds
+// the same sequential sums on their common prefix.
+var logFacts atomic.Pointer[[]float64]
 
 func logFact(n int) float64 {
-	if n < len(logFactCache) {
-		return logFactCache[n]
+	if t := logFacts.Load(); t != nil && n < len(*t) {
+		return (*t)[n]
 	}
-	start := len(logFactCache)
-	if start == 0 {
-		logFactCache = append(logFactCache, 0)
-		start = 1
+	return growLogFacts(n)[n]
+}
+
+// growLogFacts publishes a table covering n (at least doubling the current
+// one, so growth amortizes) and returns it. Racing growers retry until
+// the published table is long enough.
+func growLogFacts(n int) []float64 {
+	for {
+		old := logFacts.Load()
+		var cur []float64
+		if old != nil {
+			cur = *old
+		}
+		if n < len(cur) {
+			return cur
+		}
+		next := make([]float64, max(n+1, 2*len(cur)))
+		copy(next, cur)
+		for i := max(len(cur), 1); i < len(next); i++ {
+			next[i] = next[i-1] + math.Log(float64(i))
+		}
+		if logFacts.CompareAndSwap(old, &next) {
+			return next
+		}
 	}
-	for i := start; i <= n; i++ {
-		logFactCache = append(logFactCache, logFactCache[i-1]+math.Log(float64(i)))
-	}
-	return logFactCache[n]
 }
 
 func clamp(x, lo, hi float64) float64 {

@@ -1,8 +1,10 @@
 package consistency
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
+	"sync"
 	"testing"
 )
 
@@ -111,6 +113,39 @@ func TestLogChoose(t *testing.T) {
 	}
 	if v := logChoose(4, 0); v != 0 {
 		t.Errorf("logChoose(4,0) = %v, want 0", v)
+	}
+}
+
+// TestLogChooseConcurrent grows the shared log-factorial table from
+// several goroutines at once (parallel label fits do exactly this); under
+// -race it guards the table's publication, and every value must equal
+// the sequential prefix sum bit for bit.
+func TestLogChooseConcurrent(t *testing.T) {
+	const maxN = 2000
+	want := make([]float64, maxN)
+	for i := 1; i < maxN; i++ {
+		want[i] = want[i-1] + math.Log(float64(i))
+	}
+	logFacts.Store(nil)
+	var wg sync.WaitGroup
+	errs := make(chan string, 4)
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for n := g; n < maxN; n += 1 + g {
+				k := n / (2 + g)
+				if got, exp := logChoose(n, k), want[n]-want[k]-want[n-k]; got != exp {
+					errs <- fmt.Sprintf("logChoose(%d,%d) = %v, want %v", n, k, got, exp)
+					return
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+	close(errs)
+	for e := range errs {
+		t.Error(e)
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"repro/internal/crowd"
+	"repro/internal/obs"
 	"repro/internal/pair"
 )
 
@@ -107,11 +108,13 @@ func TestRunRecomputesOnlyDirtySources(t *testing.T) {
 	cfg.Mu = 3 // small batches force several loops
 	cfg.Reestimate = false
 	cfg.ClassifyIsolated = false
+	recomputes := obs.NewCounter()
+	cfg.Obs = &obs.Pipeline{Engine: obs.EngineCounters{Recomputes: recomputes}}
 	p := Prepare(k1, k2, cfg)
 	res := p.Run(NewOracleAsker(gold.IsMatch))
 
 	n := int64(p.Graph.NumVertices())
-	got := p.runRecomputes
+	got := recomputes.Value()
 	if res.Loops < 3 {
 		t.Fatalf("fixture too easy: only %d loops", res.Loops)
 	}

@@ -5,8 +5,10 @@ import (
 	"fmt"
 	"sort"
 
+	"repro/internal/consistency"
 	"repro/internal/crowd"
 	"repro/internal/deduce"
+	"repro/internal/ergraph"
 	"repro/internal/obs"
 	"repro/internal/pair"
 	"repro/internal/selection"
@@ -132,13 +134,15 @@ type Loop struct {
 	ded     *deduce.Store
 	deduced pair.Set
 
-	recomputes int64 // Dijkstra runs of engines already released
+	// est is the loop's current consistency fit: the Prepared's initial
+	// fit until the first re-estimation replaces it.
+	est map[ergraph.RelPair]consistency.Estimate
 }
 
 // NewLoop starts the human–machine loop and advances it to its first
 // question batch (or directly to LoopDone when nothing can be asked).
-// Like Run, it mutates the Prepared's probabilistic graph(s); prepare one
-// Prepared per loop.
+// The loop never writes to the Prepared, so one Prepared can back any
+// number of loops.
 func (p *Prepared) NewLoop() *Loop {
 	l := &Loop{
 		p: p,
@@ -151,6 +155,7 @@ func (p *Prepared) NewLoop() *Loop {
 		},
 		priors: make(map[pair.Pair]float64, len(p.Priors)),
 		hard:   pair.Set{},
+		est:    p.Consistency,
 	}
 	for k, v := range p.Priors {
 		l.priors[k] = v
@@ -266,7 +271,7 @@ func (l *Loop) fail(err error) {
 	l.open, l.buf = nil, nil
 	l.next = 0
 	if l.r != nil {
-		l.r.Close() //nolint:errcheck // best-effort release on the failure path
+		l.r.Close()
 	}
 }
 
@@ -511,12 +516,7 @@ func (l *Loop) settle() {
 			continue
 		}
 		sh.settled = true
-		n, err := l.r.Release(s)
-		if err != nil {
-			l.fail(err)
-			return
-		}
-		l.recomputes += n
+		l.r.Release(s)
 		sh.cands, sh.picks = nil, nil
 	}
 }
@@ -544,9 +544,6 @@ func (l *Loop) openBatch() {
 		return
 	}
 	l.settle()
-	if l.err != nil {
-		return
-	}
 	active := l.active()
 	if cfg.debugFullResync {
 		// Test hook: degrade to the historical recompute-everything policy
@@ -718,19 +715,15 @@ func (l *Loop) selectBatch(cands []selection.Candidate, active []int, perShard [
 	return chosen
 }
 
-// finish runs the finalization Run performs after the loop breaks, records
-// the engines' Dijkstra counts and releases their ball maps.
+// finish runs the finalization Run performs after the loop breaks and
+// releases the engines' ball maps.
 func (l *Loop) finish() {
 	l.open = nil
 	l.buf = nil
 	l.next = 0
 	if l.r != nil {
-		// Close errors are not failures here: the result is already final,
-		// and a remote runner's lost recompute counts are diagnostics only.
-		n, _ := l.r.Close()
-		l.recomputes += n
+		l.r.Close()
 	}
-	l.p.runRecomputes = l.recomputes
 	if l.p.Cfg.ClassifyIsolated {
 		l.p.classifyIsolated(l.res)
 	}

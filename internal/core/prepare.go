@@ -9,13 +9,15 @@ import (
 	"repro/internal/obs"
 	"repro/internal/pair"
 	"repro/internal/partition"
-	"repro/internal/propagation"
 	"repro/internal/simvec"
 )
 
 // Prepared holds every artifact of stage 1 (ER graph construction) plus
-// the fitted consistency model and probabilistic ER graph, ready for the
-// human–machine loop. All fields are read-only after Prepare.
+// the shard layout and the initial consistency fit, ready for the
+// human–machine loop. It carries no probabilistic graph: every loop's
+// shard states build their own from the priors and the loop's current
+// estimates, so a Prepared is read-only after Prepare and may back any
+// number of loops, one after another.
 type Prepared struct {
 	K1, K2 *kb.KB
 	Cfg    Config
@@ -26,12 +28,10 @@ type Prepared struct {
 	Pruner      *simvec.Pruner
 	Retained    []pair.Pair
 	Graph       *ergraph.Graph
+	// Consistency is the (ε1, ε2) fit over the initial matches. Loops
+	// start from it; re-estimation refits into the loop's own copy.
 	Consistency map[ergraph.RelPair]consistency.Estimate
-	// Prob is the monolithic probabilistic ER graph. It is populated only
-	// by single-shard pipelines (the default for laptop-scale graphs);
-	// sharded pipelines keep one probabilistic subgraph per shard instead,
-	// which bounds the peak size of any one engine's ball maps.
-	Prob   *propagation.ProbGraph
+	// Priors maps every retained pair to its blocking prior.
 	Priors map[pair.Pair]float64
 
 	// Part is the shard assignment of the candidate-pair graph (connected
@@ -39,7 +39,7 @@ type Prepared struct {
 	// weight-balanced shards); nil when the pipeline is single-shard.
 	Part *partition.Partition
 	// pipes holds the per-shard pipelines the loop runs concurrently; a
-	// single-shard pipeline has exactly one pipe wrapping p.Graph/p.Prob.
+	// single-shard pipeline has exactly one pipe wrapping p.Graph.
 	pipes []*shardPipe
 
 	// byEntity1/byEntity2 index graph vertices by their K1/K2 entity, used
@@ -49,18 +49,14 @@ type Prepared struct {
 	// detachment on the serial answer-application path.
 	byEntity1 map[kb.EntityID][]pair.Pair
 	byEntity2 map[kb.EntityID][]pair.Pair
-
-	// runRecomputes is the number of single-source Dijkstra runs the most
-	// recent Run performed, kept for diagnostics and the tests that assert
-	// only dirty sources are recomputed. The engines themselves are not
-	// retained past the run, so their ball maps can be collected.
-	runRecomputes int64
 }
 
 // Prepare runs ER graph construction end to end: candidate generation,
 // attribute matching over initial matches, similarity-vector assembly,
 // partial-order pruning (Algorithm 1), ER graph construction, relationship
-// consistency fitting and neighbor propagation (the probabilistic graph).
+// consistency fitting and the shard split. Neighbor propagation (the
+// probabilistic graph) is each loop's own work, done when its shard
+// states are built.
 func Prepare(k1, k2 *kb.KB, cfg Config) *Prepared {
 	cfg.fill()
 	if err := cfg.Validate(); err != nil {

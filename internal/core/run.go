@@ -171,9 +171,9 @@ func (l *Loop) resolveCompetitors(m pair.Pair) {
 }
 
 // reestimate re-fits consistency from the enlarged seed set (initial
-// matches plus confirmed and propagated matches) and rebuilds the edge
-// probabilities, keeping detached vertices detached (§VII-A). Both steps
-// are scoped exactly:
+// matches plus confirmed and propagated matches) into the loop's own
+// estimates and rebuilds the edge probabilities, keeping detached
+// vertices detached (§VII-A). Both steps are scoped exactly:
 //
 //   - The refit skips labels none of the newly confirmed or propagated
 //     matches touch. A label's observations are its seeds' neighborhoods
@@ -204,15 +204,15 @@ func (l *Loop) reestimate() {
 			seeds = append(seeds, m)
 		}
 	}
-	old := p.Consistency
-	p.Consistency = p.refitConsistency(seeds, old, l.touchedLabels())
+	old := l.est
+	l.est = p.refitConsistency(seeds, old, l.touchedLabels())
 	l.pendingSeeds = l.pendingSeeds[:0]
 	rebuild := make([]int, 0, len(l.shards))
 	for s, sh := range l.shards {
 		if sh.settled {
 			continue
 		}
-		if !p.Cfg.debugFullResync && !sh.pipe.labelsChanged(old, p.Consistency) {
+		if !p.Cfg.debugFullResync && !sh.pipe.labelsChanged(old, l.est) {
 			continue
 		}
 		rebuild = append(rebuild, s)
@@ -221,7 +221,7 @@ func (l *Loop) reestimate() {
 	p.Cfg.scheduler().ForEach(len(rebuild), func(i int) {
 		// The runner rebuilds the shard's probabilistic graph and
 		// re-detaches its resolved non-matches (ShardState.Rebuild).
-		errs[i] = l.r.Rebuild(rebuild[i], p.Consistency)
+		errs[i] = l.r.Rebuild(rebuild[i], l.est)
 		l.shards[rebuild[i]].dirty = true
 	})
 	for _, err := range errs {
@@ -229,9 +229,6 @@ func (l *Loop) reestimate() {
 			l.fail(err)
 			return
 		}
-	}
-	if len(l.shards) == 1 {
-		p.Prob = p.pipes[0].prob
 	}
 }
 
@@ -257,6 +254,3 @@ func (l *Loop) touchedLabels() map[ergraph.RelPair]bool {
 	}
 	return touched
 }
-
-// Labels of the probabilistic graph are re-exported for diagnostics.
-func (p *Prepared) GraphLabels() []ergraph.RelPair { return p.Graph.Labels() }

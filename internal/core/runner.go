@@ -11,13 +11,14 @@ import (
 // ShardRunner abstracts where a Loop's per-shard propagation engines live.
 // The loop owns every global decision — answer application order, the
 // result sets, budget and µ-batch selection across shards, settling — and
-// drives the runner with per-shard operations; the runner owns the engines
-// and the per-shard state those operations read (resolved/hard vertex
+// drives the runner with per-shard operations; the runner holds one
+// ShardState per shard — the shard's probabilistic graph, its engine and
+// the per-shard state those operations read (resolved/hard vertex
 // mirrors, the damped priors, the detached set). The in-process runner
-// (NewLocalRunner, the default) holds the engines in the loop's own
+// (NewLocalRunner, the default) holds the states in the loop's own
 // process; internal/cluster's remote runner places them on worker
 // processes behind an RPC protocol and replays the operation log to
-// survive worker crashes.
+// survive worker crashes. Neither writes to the Prepared.
 //
 // Operations on distinct shards may be invoked concurrently (the loop fans
 // gathers, ranks and rebuilds across its scheduler); operations on one
@@ -51,12 +52,12 @@ type ShardRunner interface {
 	// Invalidate degrades shard s's engine to a full recompute at its next
 	// sync (the debugFullResync test hook).
 	Invalidate(s int) error
-	// Release drops shard s's engine — the shard settled — and returns the
-	// engine's Dijkstra recompute count. Releasing twice returns 0.
-	Release(s int) (int64, error)
-	// Close releases every remaining engine and returns the sum of their
-	// recompute counts. The runner is unusable afterwards.
-	Close() (int64, error)
+	// Release drops shard s's engine — the shard settled. It is best
+	// effort and idempotent: the loop never addresses s again.
+	Release(s int)
+	// Close releases every remaining engine. The runner is unusable
+	// afterwards.
+	Close()
 }
 
 // RunnerFactory builds the ShardRunner a new Loop will drive over the
@@ -72,27 +73,22 @@ func (c *Config) runnerFactory() RunnerFactory {
 	return NewLocalRunner
 }
 
-// ShardState is one shard's live engine state: the incremental propagation
-// engine plus the mirrors of the loop's resolution state that candidate
-// gathering and rebuilds read (resolved and hard vertices, damped priors,
-// detached vertices). It is the execution substrate both ShardRunner
-// implementations share — the local runner holds one per shard in
-// process, and a cluster worker holds one per assigned shard, fed the
-// same operations over RPC — so both compute bit-identical candidates,
-// ranks, balls and rebuilds by construction.
+// ShardState is one shard's live engine state: the shard's probabilistic
+// graph and the incremental propagation engine over it, plus the mirrors
+// of the loop's resolution state that candidate gathering and rebuilds
+// read (resolved and hard vertices, damped priors, detached vertices). It
+// is the only owner of a probabilistic graph, and the execution substrate
+// both ShardRunner implementations share — the local runner holds one per
+// shard in process, and a cluster worker holds one per assigned shard,
+// fed the same operations over RPC — so both compute bit-identical
+// candidates, ranks, balls and rebuilds by construction.
 //
 // A ShardState is not safe for concurrent use; the loop serializes
 // operations per shard, and workers add their own locking.
 type ShardState struct {
 	p    *Prepared
 	pipe *shardPipe
-	prob *propagation.ProbGraph
 	eng  *propagation.Engine
-	// attached marks the local-runner mode: the state wraps the pipe's own
-	// probabilistic graph (the Prepared is exclusive to one loop) and
-	// rebuilds write back to it. Worker states are detached: they build a
-	// fresh graph so one cached Prepared can back many sessions.
-	attached bool
 
 	resolved pair.Set
 	detached pair.Set
@@ -104,44 +100,29 @@ type ShardState struct {
 	anyProp   bool
 }
 
-// newAttachedShardState wraps shard s's own probabilistic graph — the
-// in-process runner's mode, where the Prepared is exclusive to the loop.
-func (p *Prepared) newAttachedShardState(s int) *ShardState {
+// NewShardState builds shard s's engine state over a fresh probabilistic
+// graph from the initial consistency fit, leaving the Prepared untouched,
+// so one Prepared can back any number of loops and sessions.
+func (p *Prepared) NewShardState(s int) *ShardState {
 	st := &ShardState{
 		p:        p,
 		pipe:     p.pipes[s],
-		prob:     p.pipes[s].prob,
-		attached: true,
 		resolved: pair.Set{},
 		detached: pair.Set{},
 		hard:     pair.Set{},
 		damped:   map[pair.Pair]float64{},
 	}
-	st.eng = propagation.NewEngineObs(st.prob, p.Cfg.Tau, p.Cfg.Obs.EngineCounters())
+	st.eng = propagation.NewEngineObs(st.buildProb(p.Consistency), p.Cfg.Tau, p.Cfg.Obs.EngineCounters())
 	return st
 }
 
-// NewShardState builds an independent engine state for shard s over a
-// fresh probabilistic graph, leaving the Prepared untouched. This is the
-// form a cluster worker holds: one Prepared (cached per pipeline spec)
-// backs every session's shard states, each with its own graph copy.
-func (p *Prepared) NewShardState(s int) *ShardState {
-	pipe := p.pipes[s]
-	prob := propagation.BuildProb(pipe.graph, p.K1, p.K2, propagation.Params{
-		Priors:      p.Priors,
-		Consistency: p.Consistency,
+// buildProb runs neighbor propagation over the shard's subgraph under the
+// given consistency estimates.
+func (st *ShardState) buildProb(est map[ergraph.RelPair]consistency.Estimate) *propagation.ProbGraph {
+	return propagation.BuildProb(st.pipe.graph, st.p.K1, st.p.K2, propagation.Params{
+		Priors:      st.p.Priors,
+		Consistency: est,
 	})
-	st := &ShardState{
-		p:        p,
-		pipe:     pipe,
-		prob:     prob,
-		resolved: pair.Set{},
-		detached: pair.Set{},
-		hard:     pair.Set{},
-		damped:   map[pair.Pair]float64{},
-	}
-	st.eng = propagation.NewEngineObs(prob, p.Cfg.Tau, p.Cfg.Obs.EngineCounters())
-	return st
 }
 
 // ShardLabels returns the edge labels present in shard s — the estimates a
@@ -283,35 +264,21 @@ func (st *ShardState) Ball(q pair.Pair) []pair.Pair {
 	return out
 }
 
-// Rebuild rebuilds the probabilistic graph from the given estimates,
-// re-detaches the shard's resolved non-matches and resets the engine over
-// the result — the per-shard half of re-estimation (§VII-A). Walking the
-// shard's own vertices keeps the re-detach O(shard size).
+// Rebuild builds a fresh probabilistic graph from the given estimates,
+// resets the engine over it and re-detaches the shard's resolved
+// non-matches through the same DetachVertex answers use — the per-shard
+// half of re-estimation (§VII-A). Walking the shard's vertex order keeps
+// the re-detach deterministic and O(shard size).
 func (st *ShardState) Rebuild(est map[ergraph.RelPair]consistency.Estimate) {
 	if st.eng == nil {
 		return
 	}
-	p := st.p
-	prob := propagation.BuildProb(st.pipe.graph, p.K1, p.K2, propagation.Params{
-		Priors:      p.Priors,
-		Consistency: est,
-	})
+	st.eng.Reset(st.buildProb(est))
 	for _, q := range st.pipe.graph.Vertices() {
-		if !st.detached.Has(q) {
-			continue
-		}
-		for _, e := range st.pipe.graph.Out(q) {
-			prob.SetProb(q, e.To, 0)
-		}
-		for _, e := range st.pipe.graph.In(q) {
-			prob.SetProb(e.From, q, 0)
+		if st.detached.Has(q) {
+			st.eng.DetachVertex(q)
 		}
 	}
-	st.prob = prob
-	if st.attached {
-		st.pipe.prob = prob
-	}
-	st.eng.Reset(prob)
 }
 
 // Invalidate degrades the engine to a full recompute at its next sync.
@@ -322,20 +289,15 @@ func (st *ShardState) Invalidate() {
 }
 
 // Release drops the engine — its dist/rev ball maps are the dominant
-// memory — and returns its Dijkstra recompute count; 0 on a second call.
-func (st *ShardState) Release() int64 {
-	if st.eng == nil {
-		return 0
-	}
-	n := st.eng.Recomputes()
+// memory. Later operations are no-ops.
+func (st *ShardState) Release() {
 	st.eng = nil
 	st.lastCands = nil
-	return n
 }
 
-// localRunner is the in-process ShardRunner: one attached ShardState per
-// shard, built concurrently under the pipeline scheduler. Its operations
-// never fail.
+// localRunner is the in-process ShardRunner: one ShardState per shard,
+// built concurrently under the pipeline scheduler. Its operations never
+// fail.
 type localRunner struct {
 	states []*ShardState
 }
@@ -347,7 +309,7 @@ type localRunner struct {
 func NewLocalRunner(p *Prepared) (ShardRunner, error) {
 	lr := &localRunner{states: make([]*ShardState, len(p.pipes))}
 	p.Cfg.scheduler().ForEach(len(p.pipes), func(s int) {
-		lr.states[s] = p.newAttachedShardState(s)
+		lr.states[s] = p.NewShardState(s)
 	})
 	return lr, nil
 }
@@ -385,14 +347,10 @@ func (r *localRunner) Invalidate(s int) error {
 	return nil
 }
 
-func (r *localRunner) Release(s int) (int64, error) {
-	return r.states[s].Release(), nil
-}
+func (r *localRunner) Release(s int) { r.states[s].Release() }
 
-func (r *localRunner) Close() (int64, error) {
-	var n int64
+func (r *localRunner) Close() {
 	for _, st := range r.states {
-		n += st.Release()
+		st.Release()
 	}
-	return n, nil
 }

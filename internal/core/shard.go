@@ -4,7 +4,6 @@ import (
 	"repro/internal/consistency"
 	"repro/internal/ergraph"
 	"repro/internal/partition"
-	"repro/internal/propagation"
 	"repro/internal/selection"
 )
 
@@ -46,15 +45,13 @@ func resolveShardCount(requested, vertices int) int {
 }
 
 // shardPipe is one shard's slice of the prepared pipeline: the induced
-// component subgraph and its probabilistic counterpart. Because the
-// partition respects relational edges, every edge of a shard vertex lives
-// in the same shard, so the subgraph pipeline computes bit-identical
-// probabilities and propagation to the monolithic one restricted to the
-// shard.
+// component subgraph. Because the partition respects relational edges,
+// every edge of a shard vertex lives in the same shard, so a shard's
+// probabilistic subgraph has bit-identical probabilities and propagation
+// to the monolithic one restricted to the shard.
 type shardPipe struct {
 	id    int
 	graph *ergraph.Graph
-	prob  *propagation.ProbGraph
 	// globalIdx maps shard-local vertex indexes to p.Graph indexes; nil
 	// means identity (the single-shard pipe reuses p.Graph directly).
 	globalIdx []int
@@ -88,15 +85,12 @@ func (sp *shardPipe) labelsChanged(old, new map[ergraph.RelPair]consistency.Esti
 }
 
 // initShards resolves the shard count and builds the per-shard pipelines.
-// Single-shard pipelines reuse the global graph and populate p.Prob
-// exactly as the unsharded pipeline always has; sharded ones build one
-// probabilistic subgraph per shard concurrently and leave p.Prob nil.
+// A single-shard pipeline reuses the global graph; a sharded one induces
+// one subgraph per shard concurrently.
 func (p *Prepared) initShards() {
 	count := resolveShardCount(p.Cfg.Shards, p.Graph.NumVertices())
-	params := propagation.Params{Priors: p.Priors, Consistency: p.Consistency}
 	if count <= 1 {
-		p.Prob = propagation.BuildProb(p.Graph, p.K1, p.K2, params)
-		p.pipes = []*shardPipe{{id: 0, graph: p.Graph, prob: p.Prob, labels: p.Graph.Labels()}}
+		p.pipes = []*shardPipe{{id: 0, graph: p.Graph, labels: p.Graph.Labels()}}
 		return
 	}
 	verts := p.Graph.Vertices()
@@ -120,7 +114,6 @@ func (p *Prepared) initShards() {
 		pipes[s] = &shardPipe{
 			id:        s,
 			graph:     g,
-			prob:      propagation.BuildProb(g, p.K1, p.K2, params),
 			globalIdx: globalIdx,
 			labels:    g.Labels(),
 		}

@@ -1,9 +1,12 @@
 package core
 
 import (
+	"fmt"
+	"sync"
 	"testing"
 
 	"repro/internal/crowd"
+	"repro/internal/datasets"
 	"repro/internal/selection"
 )
 
@@ -151,5 +154,57 @@ func TestShardsValidation(t *testing.T) {
 	cfg.Shards = -1
 	if err := cfg.Validate(); err == nil {
 		t.Fatal("negative Shards accepted")
+	}
+}
+
+// TestPreparedRunsRepeatedly pins that a Prepared is read-only after
+// Prepare: two runs over one Prepared must each equal a run over a fresh
+// Prepare, on every built-in dataset, monolithic and sharded. Loops own
+// their probabilistic graphs and consistency estimates, so nothing a run
+// detaches or re-fits can leak into the next.
+func TestPreparedRunsRepeatedly(t *testing.T) {
+	for _, name := range datasets.Names() {
+		ds, err := datasets.ByName(name, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, shards := range []int{1, 4} {
+			t.Run(fmt.Sprintf("%s/shards=%d", name, shards), func(t *testing.T) {
+				cfg := DefaultConfig()
+				cfg.Shards = shards
+				fresh := Prepare(ds.K1, ds.K2, cfg).Run(NewOracleAsker(ds.Gold.IsMatch))
+				p := Prepare(ds.K1, ds.K2, cfg)
+				for run := 0; run < 2; run++ {
+					assertResultsIdentical(t, fresh, p.Run(NewOracleAsker(ds.Gold.IsMatch)))
+				}
+			})
+		}
+	}
+}
+
+// TestPreparedSharedByConcurrentRuns runs loops over one Prepared from
+// several goroutines at once, as sessions sharing a Prepared do; under
+// -race it guards that loops only read the Prepared.
+func TestPreparedSharedByConcurrentRuns(t *testing.T) {
+	ds, err := datasets.ByName("d-a", 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := DefaultConfig()
+	cfg.Shards = 4
+	want := Prepare(ds.K1, ds.K2, cfg).Run(NewOracleAsker(ds.Gold.IsMatch))
+	p := Prepare(ds.K1, ds.K2, cfg)
+	results := make([]*Result, 3)
+	var wg sync.WaitGroup
+	for i := range results {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			results[i] = p.Run(NewOracleAsker(ds.Gold.IsMatch))
+		}(i)
+	}
+	wg.Wait()
+	for _, got := range results {
+		assertResultsIdentical(t, want, got)
 	}
 }

@@ -12,6 +12,7 @@ import (
 	"repro/internal/eval"
 	"repro/internal/obs"
 	"repro/internal/pair"
+	"repro/internal/propagation"
 	"repro/internal/selection"
 	"repro/internal/simvec"
 )
@@ -165,9 +166,13 @@ func Figure6(w io.Writer, seed int64) []ScalePoint {
 		cfg := core.DefaultConfig()
 		cfg.Shards = 1
 		sub := core.PrepareOnRetained(ds.K1, ds.K2, cfg, subset, full.Blocking)
+		prob := propagation.BuildProb(sub.Graph, sub.K1, sub.K2, propagation.Params{
+			Priors:      sub.Priors,
+			Consistency: sub.Consistency,
+		})
 
 		start := time.Now()
-		inferred := sub.Prob.InferAll(cfg.Tau)
+		inferred := prob.InferAll(cfg.Tau)
 		el2 := time.Since(start)
 		fmt.Fprintf(w, "Algorithm 2 @ %3.0f%% of Mrd (%6d pairs): %v\n", 100*f, n, el2)
 		out = append(out, ScalePoint{Algorithm: "Algorithm 2", Fraction: f, Elapsed: el2})

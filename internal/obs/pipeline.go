@@ -9,11 +9,11 @@ type EngineCounters struct {
 	// Recomputes counts single-source Dijkstra runs (incremental and
 	// rebuild alike, including the initial build).
 	Recomputes *Counter
-	// Invalidations counts ball-invalidation events: a DetachVertex or
-	// weakened edge marking a source set dirty.
+	// Invalidations counts ball-invalidation events: a DetachVertex
+	// marking a source set dirty.
 	Invalidations *Counter
-	// Rebuilds counts whole-graph rebuilds (each folds the pending edge
-	// overlay into the CSR — re-estimation resets and bulk fallbacks).
+	// Rebuilds counts whole-graph rebuilds (the initial build,
+	// re-estimation resets and bulk fallbacks).
 	Rebuilds *Counter
 }
 

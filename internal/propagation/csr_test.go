@@ -59,19 +59,11 @@ func TestCSRMatchesOracleTableDriven(t *testing.T) {
 					compareRevRows(t, name, q, got.rev[q], want.rev[q])
 				}
 			}
-			// Incremental sync after random removals must equal a rebuild of
+			// Incremental sync after random detaches must equal a rebuild of
 			// the same mutated graph.
 			e := NewEngine(pg, tau)
 			for ops := 0; ops < 6; ops++ {
-				switch rng.Intn(3) {
-				case 0:
-					e.DetachVertex(verts[rng.Intn(tc.n)])
-				case 1:
-					e.SetProb(verts[rng.Intn(tc.n)], verts[rng.Intn(tc.n)], 0)
-				case 2:
-					i, j := rng.Intn(tc.n), rng.Intn(tc.n)
-					e.SetProb(verts[i], verts[j], pg.probAt(i, j)*0.6)
-				}
+				e.DetachVertex(verts[rng.Intn(tc.n)])
 			}
 			e.Sync()
 			assertMatchesOracle(t, e, name)
@@ -81,115 +73,34 @@ func TestCSRMatchesOracleTableDriven(t *testing.T) {
 	}
 }
 
-// TestSetProbOverlayVisibility pins the overlay semantics: an edge added
-// after the CSR build (no slot) must be visible to Prob, Length, NumEdges
-// and the bounded Dijkstra both before and after Fold merges it into the
-// CSR, and removable through either representation.
-func TestSetProbOverlayVisibility(t *testing.T) {
-	// Two disjoint 3-chains: vs[0..2] and vs[3..5]. The overlay edge bridges
-	// the clusters, so the direct edge is the only 0→3 path and its length
-	// is exactly the ball distance.
-	pg, vs := clusteredPG(2, 3)
-	a, d := vs[0], vs[3]
-	if pg.Prob(a, d) != 0 {
-		t.Fatalf("chain should have no direct 0→3 edge, got %v", pg.Prob(a, d))
-	}
-	edgesBefore := pg.NumEdges()
-
-	check := func(stage string) {
-		t.Helper()
-		if got := pg.Prob(a, d); got != 0.9 {
-			t.Fatalf("%s: Prob = %v, want 0.9", stage, got)
-		}
-		if got := pg.Length(a, d); math.Abs(got+math.Log(0.9)) > 1e-12 {
-			t.Fatalf("%s: Length = %v", stage, got)
-		}
-		if got := pg.NumEdges(); got != edgesBefore+1 {
-			t.Fatalf("%s: NumEdges = %d, want %d", stage, got, edgesBefore+1)
-		}
-		// The Dijkstra must route through the new shortcut: with the direct
-		// edge at 0.9, vertex 3 is one hop from vertex 0.
-		ball := pg.InferFrom(a, 0.9)
-		if dd, ok := ball.Get(3); !ok || math.Abs(dd+math.Log(0.9)) > 1e-12 {
-			t.Fatalf("%s: Dijkstra missed the overlay edge (ball=%v)", stage, ball)
-		}
-		// The oracle must see it identically.
-		fw := pg.InferAllFW(0.9)
-		if dd, ok := fw.Ball(0).Get(3); !ok || math.Abs(dd+math.Log(0.9)) > 1e-12 {
-			t.Fatalf("%s: FW oracle missed the overlay edge", stage)
-		}
-	}
-
-	pg.SetProb(a, d, 0.9) // no CSR slot → overlay
-	if pg.ovCount != 1 {
-		t.Fatalf("edge should live in the overlay, ovCount = %d", pg.ovCount)
-	}
-	check("before fold")
-
-	pg.Fold()
-	if pg.ovCount != 0 || pg.ovOut != nil {
-		t.Fatalf("Fold left overlay state behind (count=%d)", pg.ovCount)
-	}
-	check("after fold")
-
-	// Post-fold the edge occupies a real slot; removal zeroes it in place.
-	pg.SetProb(a, d, 0)
-	if pg.Prob(a, d) != 0 || pg.NumEdges() != edgesBefore {
-		t.Fatalf("removal after fold failed: prob=%v edges=%d", pg.Prob(a, d), pg.NumEdges())
-	}
-
-	// Overlay removal path: the zeroed slot above is reused in place, so
-	// re-adding 0→3 would land in the CSR, not the overlay — exercise a
-	// genuinely new edge instead.
-	b, e := vs[1], vs[4]
-	pg.SetProb(b, e, 0.8)
-	if pg.ovCount != 1 {
-		t.Fatalf("new edge should be overlay, ovCount = %d", pg.ovCount)
-	}
-	pg.SetProb(b, e, 0)
-	if pg.ovCount != 0 || pg.Prob(b, e) != 0 {
-		t.Fatalf("overlay removal failed: ovCount=%d prob=%v", pg.ovCount, pg.Prob(b, e))
-	}
-}
-
-// TestEngineSeesOverlayThroughRebuild drives the overlay through the
-// Engine path re-estimation uses: a strengthened (new) edge schedules a
-// full rebuild, the rebuild folds the overlay, and the resulting balls
-// match the oracle on the mutated graph.
-func TestEngineSeesOverlayThroughRebuild(t *testing.T) {
-	g, k1, k2, vs := chainGraph(6, false)
-	pg := BuildProb(g, k1, k2, strongParams(g))
-	e := NewEngine(pg, 0.8)
-	e.SetProb(vs[0], vs[4], 0.95) // brand-new edge → overlay + full rebuild
-	if e.PendingSources() != g.NumVertices() {
-		t.Fatalf("new edge should schedule a full rebuild, pending = %d", e.PendingSources())
-	}
-	e.Sync()
-	if pg.ovCount != 0 {
-		t.Fatalf("rebuild should fold the overlay, ovCount = %d", pg.ovCount)
-	}
-	assertMatchesOracle(t, e, "after overlay rebuild")
-	if _, ok := e.Ball(0).Get(4); !ok {
-		t.Fatal("rebuilt ball of vertex 0 misses the new edge's target")
-	}
-}
-
-// TestDetachClearsOverlayEdges ensures DetachVertex removes overlay edges
-// in both directions, not only CSR slots.
-func TestDetachClearsOverlayEdges(t *testing.T) {
+// TestDetachClearsEdges ensures detachAt removes a vertex's edges in both
+// directions through the CSR mirrors: probabilities read 0, lengths +Inf,
+// live degrees drop to 0, and no other edge changes.
+func TestDetachClearsEdges(t *testing.T) {
 	g, k1, k2, vs := chainGraph(5, false)
 	pg := BuildProb(g, k1, k2, strongParams(g))
-	pg.SetProb(vs[0], vs[3], 0.9)
-	pg.SetProb(vs[3], vs[0], 0.9)
-	if pg.ovCount != 2 {
-		t.Fatalf("ovCount = %d, want 2", pg.ovCount)
+	if pg.Prob(vs[2], vs[3]) == 0 || pg.Prob(vs[3], vs[4]) == 0 {
+		t.Fatal("chain fixture lacks the edges around vertex 3")
 	}
+	edgesBefore := pg.NumEdges()
+	out, in := pg.degreeAt(3)
 	pg.detachAt(3)
-	if pg.ovCount != 0 || pg.Prob(vs[0], vs[3]) != 0 || pg.Prob(vs[3], vs[0]) != 0 {
-		t.Fatalf("detach left overlay edges: count=%d", pg.ovCount)
+	for _, e := range [][2]pair.Pair{{vs[2], vs[3]}, {vs[3], vs[2]}, {vs[3], vs[4]}, {vs[4], vs[3]}} {
+		if p := pg.Prob(e[0], e[1]); p != 0 {
+			t.Fatalf("detach left edge %v→%v at %v", e[0], e[1], p)
+		}
+		if !math.IsInf(pg.Length(e[0], e[1]), 1) {
+			t.Fatalf("removed edge %v→%v should have length +Inf", e[0], e[1])
+		}
 	}
-	if out, in := pg.degreeAt(3); out != 0 || in != 0 {
-		t.Fatalf("detached vertex still has degree %d/%d", out, in)
+	if o, i := pg.degreeAt(3); o != 0 || i != 0 {
+		t.Fatalf("detached vertex still has degree %d/%d", o, i)
+	}
+	if got, want := pg.NumEdges(), edgesBefore-int(out+in); got != want {
+		t.Fatalf("NumEdges = %d after detach, want %d", got, want)
+	}
+	if pg.Prob(vs[0], vs[1]) == 0 {
+		t.Fatal("detach removed an edge not incident to the vertex")
 	}
 }
 

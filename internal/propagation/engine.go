@@ -15,20 +15,18 @@ import (
 // contain a vertex p, so when edges incident to p are removed (a confirmed
 // match's competitors being detached, a worker-labeled non-match), only
 // those sources plus p itself can change and only they are re-run.
-// Re-estimation replaces the whole probabilistic graph, so it triggers a
-// parallel full rebuild instead.
+// Re-estimation replaces the whole probabilistic graph (Reset), so it
+// triggers a parallel full rebuild instead.
 //
-// The incremental step is exact for removal-only batches: any ζ-bounded
-// path of a source q that uses an edge incident to a touched vertex p
-// reaches p within ζ on a prefix of that path, so q ∈ rev[p] as of the
-// last Sync (removals only shrink balls, so the stale rev is a superset of
-// the true one). Every other source keeps all of its shortest paths and
-// gains none, hence its ball is bitwise unchanged. Strengthened or added
-// edges can pull new vertices into arbitrary balls, so SetProb falls back
-// to a full rebuild for them; the pipeline only strengthens edges via
-// re-estimation, which rebuilds anyway.
+// The incremental step is exact because detachment is the only edge
+// mutation: any ζ-bounded path of a source q that uses an edge incident
+// to a touched vertex p reaches p within ζ on a prefix of that path, so
+// q ∈ rev[p] as of the last Sync (removals only shrink balls, so the
+// stale rev is a superset of the true one). Every other source keeps all
+// of its shortest paths and gains none, hence its ball is bitwise
+// unchanged.
 //
-// Mutators (DetachVertex, SetProb, Reset, InvalidateAll) only record
+// Mutators (DetachVertex, Reset, InvalidateAll) only record
 // invalidations; Sync applies them, fanning one bounded Dijkstra per dirty
 // source across GOMAXPROCS goroutines, each worker reusing one pooled
 // dense scratch. Readers (Set, Ball, Prob) deliberately serve the balls as
@@ -137,29 +135,10 @@ func (e *Engine) DetachVertex(q pair.Pair) {
 	e.pg.detachAt(i)
 }
 
-// SetProb overrides one edge probability. Weakened or removed edges
-// invalidate the ball of the edge's tail; strengthened or added edges
-// schedule a full rebuild (see the type comment for why).
-func (e *Engine) SetProb(from, to pair.Pair, p float64) {
-	i := e.pg.g.IndexOf(from)
-	j := e.pg.g.IndexOf(to)
-	if i < 0 || j < 0 || i == j {
-		return
-	}
-	old := e.pg.probAt(i, j)
-	switch {
-	case p > old:
-		e.full = true
-	case p < old:
-		e.markBallDirty(i)
-	default:
-		return
-	}
-	e.pg.setProbAt(i, j, p)
-}
-
-// Reset swaps in a freshly rebuilt probabilistic graph (re-estimation) and
-// schedules a parallel full rebuild.
+// Reset swaps in a freshly built probabilistic graph (re-estimation) and
+// schedules a parallel full rebuild. DetachVertex calls that follow
+// before the next Sync only zero the new graph's edges: the pending
+// rebuild already covers every ball they would invalidate.
 func (e *Engine) Reset(pg *ProbGraph) {
 	e.pg = pg
 	e.InvalidateAll()
@@ -245,11 +224,8 @@ func (e *Engine) Sync() {
 }
 
 // rebuild recomputes every source from scratch in parallel, sharing
-// InferAll's implementation. The rebuild is also where a pending SetProb
-// overlay is folded into the CSR, so the steady-state Dijkstras that
-// follow run on pure flat storage.
+// InferAll's implementation.
 func (e *Engine) rebuild() {
-	e.pg.Fold()
 	n := e.pg.g.NumVertices()
 	e.dist = e.pg.computeAll(e.zeta)
 	e.rev = buildRev(e.dist, n)

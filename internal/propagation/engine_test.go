@@ -31,18 +31,23 @@ func randomAdj(rng *rand.Rand, n int, density float64) []map[int]float64 {
 }
 
 // probGraphFromAdj builds a CSR probabilistic graph over g from explicit
-// adjacency maps by writing every edge through the SetProb overlay and
-// folding, so the test constructor exercises the same overlay + Fold path
-// re-estimation uses.
+// adjacency maps, laying each row out ascending in column as BuildProb
+// does.
 func probGraphFromAdj(g *ergraph.Graph, adj []map[int]float64) *ProbGraph {
 	pg := &ProbGraph{g: g, rowStart: make([]int32, g.NumVertices()+1)}
-	pg.finish()
 	for i, m := range adj {
-		for j, p := range m {
-			pg.setProbAt(i, j, p)
+		cols := make([]int, 0, len(m))
+		for j := range m {
+			cols = append(cols, j)
 		}
+		slices.Sort(cols)
+		for _, j := range cols {
+			pg.colIdx = append(pg.colIdx, int32(j))
+			pg.prob = append(pg.prob, m[j])
+		}
+		pg.rowStart[i+1] = int32(len(pg.colIdx))
 	}
-	pg.Fold()
+	pg.finish()
 	return pg
 }
 
@@ -119,10 +124,11 @@ func TestNewEngineMatchesInferAll(t *testing.T) {
 }
 
 // TestEngineRandomizedInvalidation drives the engine through arbitrary
-// sequences of detaches, edge removals, weakenings, strengthenings and
-// re-estimation resets, checking after every Sync that the maps are
-// identical to a from-scratch oracle run. This is the equivalence theorem
-// the incremental step relies on; run it with -race to also exercise the
+// sequences of detaches and re-estimation resets — a fresh graph followed
+// by re-detaching every detached vertex, exactly the path shard rebuilds
+// take — checking after every Sync that the maps are identical to a
+// from-scratch oracle run. This is the equivalence theorem the
+// incremental step relies on; run it with -race to also exercise the
 // parallel recompute.
 func TestEngineRandomizedInvalidation(t *testing.T) {
 	// Force the worker pool on even on single-CPU machines so -race
@@ -134,24 +140,18 @@ func TestEngineRandomizedInvalidation(t *testing.T) {
 		pg, verts := randomPG(rng, n, 0.08)
 		tau := 0.65 + 0.25*rng.Float64()
 		e := NewEngine(pg, tau)
+		var detached []int
 		for step := 0; step < 10; step++ {
 			for ops := 1 + rng.Intn(4); ops > 0; ops-- {
-				i := rng.Intn(n)
-				j := rng.Intn(n)
-				switch rng.Intn(6) {
-				case 0, 1:
+				if rng.Intn(4) > 0 {
+					i := rng.Intn(n)
+					detached = append(detached, i)
 					e.DetachVertex(verts[i])
-				case 2:
-					e.SetProb(verts[i], verts[j], 0) // remove one edge
-				case 3:
-					old := e.Graph().probAt(i, j)
-					e.SetProb(verts[i], verts[j], old*0.5) // weaken
-				case 4:
-					e.SetProb(verts[i], verts[j], 0.8+0.2*rng.Float64()) // add/strengthen → full rebuild
-				case 5:
-					fresh, fverts := randomPG(rng, n, 0.08)
-					verts = fverts
-					e.Reset(fresh) // re-estimation swaps the whole graph
+					continue
+				}
+				e.Reset(probGraphFromAdj(pg.g, randomAdj(rng, n, 0.08)))
+				for _, i := range detached {
+					e.DetachVertex(verts[i])
 				}
 			}
 			e.Sync()
@@ -226,13 +226,19 @@ func TestEngineRecomputesOnlyBall(t *testing.T) {
 		t.Fatalf("re-detach triggered recomputes: %d, want %d", got, want)
 	}
 
-	// A strengthened edge forces a full rebuild.
-	e.SetProb(vs[0], vs[7], 0.99)
+	// Re-estimation: a fresh graph plus the re-detach schedules one full
+	// rebuild, and the rebuilt balls keep the vertex detached.
+	fresh, _ := clusteredPG(6, 8)
+	e.Reset(fresh)
+	e.DetachVertex(mid)
 	if got := e.PendingSources(); got != n {
-		t.Fatalf("strengthen should schedule full rebuild (%d), got %d", n, got)
+		t.Fatalf("reset should schedule a full rebuild (%d), got %d", n, got)
 	}
 	e.Sync()
-	assertMatchesOracle(t, e, "after strengthen")
+	if out, in := fresh.degreeAt(4); out != 0 || in != 0 {
+		t.Fatalf("re-detached vertex still has degree %d/%d", out, in)
+	}
+	assertMatchesOracle(t, e, "after reset and re-detach")
 }
 
 func TestEngineResetResizes(t *testing.T) {

@@ -175,8 +175,8 @@ func (pg *ProbGraph) inferSources(zeta float64, srcs []int, results []Ball) {
 // sets. Because all lengths are nonnegative, any subpath of a ζ-bounded
 // path is itself ζ-bounded, so restricting the maps to entries ≤ ζ is
 // lossless. It is kept as the paper-faithful oracle that the Dijkstra
-// engine is cross-checked against; it reads the CSR (and any unfolded
-// overlay) but works on plain maps, converted to balls at the end.
+// engine is cross-checked against; it reads the CSR but works on plain
+// maps, converted to balls at the end.
 func (pg *ProbGraph) InferAllFW(tau float64) *Inferred {
 	n := pg.g.NumVertices()
 	zeta := zetaOf(tau)
@@ -186,22 +186,13 @@ func (pg *ProbGraph) InferAllFW(tau float64) *Inferred {
 		dist[i] = make(map[int32]float64)
 		rev[i] = make(map[int32]float64)
 	}
-	// Lines 3–5: seed with single edges.
-	seed := func(i int, j int32, l float64) {
-		if l <= zeta {
-			dist[i][j] = l
-			rev[j][int32(i)] = l
-		}
-	}
+	// Lines 3–5: seed with single edges (removed slots carry +Inf).
 	for i := 0; i < n; i++ {
 		for e := pg.rowStart[i]; e < pg.rowStart[i+1]; e++ {
-			if pg.prob[e] > 0 {
-				seed(i, pg.colIdx[e], pg.length[e])
-			}
-		}
-		if pg.ovOut != nil {
-			for j, p := range pg.ovOut[i] {
-				seed(i, j, -math.Log(p))
+			if l := pg.length[e]; l <= zeta {
+				j := pg.colIdx[e]
+				dist[i][j] = l
+				rev[j][int32(i)] = l
 			}
 		}
 	}
@@ -291,21 +282,6 @@ func (pg *ProbGraph) inferFromIndex(src int, zeta float64, sc *scratch) Ball {
 			} else if d < sc.dist[j] {
 				sc.dist[j] = d
 				sc.push(heapEntry{d, j})
-			}
-		}
-		if pg.ovOut != nil {
-			for j, p := range pg.ovOut[it.v] {
-				d := it.d - math.Log(p)
-				if d > zeta {
-					continue
-				}
-				if !sc.visited(j) {
-					sc.reach(j, d)
-					sc.push(heapEntry{d, j})
-				} else if d < sc.dist[j] {
-					sc.dist[j] = d
-					sc.push(heapEntry{d, j})
-				}
 			}
 		}
 	}

@@ -21,10 +21,10 @@ import (
 // loop never calls math.Log. The in-CSR (inRowStart/inSrc/inPos) mirrors
 // the topology for reverse traversal; inPos names the out-CSR slot of each
 // in-edge, so the prob/length arrays stay the single source of truth.
-// Edge deletions zero the slot in place (prob 0, length +Inf — the
-// ζ-bound prunes them with the comparison it already performs); edges
-// added after the build that have no slot go to a sparse overlay, which
-// Fold merges back into a compacted CSR on re-estimation rebuilds.
+// The only mutation is detachment (detachAt), which zeroes a vertex's
+// slots in place (prob 0, length +Inf — the ζ-bound prunes them with the
+// comparison it already performs). Re-estimation never edits a graph: it
+// builds a fresh one and re-detaches.
 type ProbGraph struct {
 	g *ergraph.Graph
 
@@ -39,17 +39,11 @@ type ProbGraph struct {
 	inSrc      []int32
 	inPos      []int32
 
-	// Live (positive-probability) degree per vertex, overlay included;
-	// maintained by setProbAt/detachAt so DetachVertex can skip vertices
-	// that are already bare without scanning their rows.
+	// Live (positive-probability) degree per vertex, maintained by
+	// detachAt so DetachVertex can skip vertices that are already bare
+	// without scanning their rows.
 	outDeg []int32
 	inDeg  []int32
-
-	// Overlay for edges added after the CSR was built (SetProb on a missing
-	// slot). nil until first needed, so the hot loop pays one pointer test.
-	ovOut   []map[int32]float64
-	ovIn    []map[int32]struct{}
-	ovCount int
 }
 
 // Params configures probabilistic graph construction.
@@ -132,8 +126,8 @@ func BuildProb(g *ergraph.Graph, k1, k2 *kb.KB, params Params) *ProbGraph {
 }
 
 // finish derives every secondary array (edge lengths, the in-CSR mirror,
-// live degrees) from rowStart/colIdx/prob and resets the overlay. It is
-// shared by BuildProb, Fold and the test constructors.
+// live degrees) from rowStart/colIdx/prob. It is shared by BuildProb and
+// the test constructors.
 func (pg *ProbGraph) finish() {
 	n := pg.g.NumVertices()
 	m := len(pg.colIdx)
@@ -169,7 +163,6 @@ func (pg *ProbGraph) finish() {
 			}
 		}
 	}
-	pg.ovOut, pg.ovIn, pg.ovCount = nil, nil, 0
 }
 
 func candWeights(nb *Neighborhood) []float64 {
@@ -283,73 +276,11 @@ func (pg *ProbGraph) probAt(i, j int) float64 {
 	if e := pg.slot(i, j); e >= 0 {
 		return pg.prob[e]
 	}
-	if pg.ovOut != nil {
-		return pg.ovOut[i][int32(j)]
-	}
 	return 0
 }
 
-// setProbAt writes Pr[m_j | m_i] by dense index: in place when the CSR has
-// the slot, through the overlay otherwise. p ≤ 0 removes the edge, p > 1
-// clamps to 1. Degree counters track live edges on both endpoints.
-func (pg *ProbGraph) setProbAt(i, j int, p float64) {
-	if p > 1 {
-		p = 1
-	}
-	if e := pg.slot(i, j); e >= 0 {
-		old := pg.prob[e]
-		if p <= 0 {
-			if old > 0 {
-				pg.prob[e] = 0
-				pg.length[e] = math.Inf(1)
-				pg.outDeg[i]--
-				pg.inDeg[j]--
-			}
-			return
-		}
-		if old <= 0 {
-			pg.outDeg[i]++
-			pg.inDeg[j]++
-		}
-		pg.prob[e] = p
-		pg.length[e] = -math.Log(p)
-		return
-	}
-	if p <= 0 {
-		if pg.ovOut == nil {
-			return
-		}
-		if _, ok := pg.ovOut[i][int32(j)]; ok {
-			delete(pg.ovOut[i], int32(j))
-			delete(pg.ovIn[j], int32(i))
-			pg.ovCount--
-			pg.outDeg[i]--
-			pg.inDeg[j]--
-		}
-		return
-	}
-	if pg.ovOut == nil {
-		n := pg.g.NumVertices()
-		pg.ovOut = make([]map[int32]float64, n)
-		pg.ovIn = make([]map[int32]struct{}, n)
-	}
-	if pg.ovOut[i] == nil {
-		pg.ovOut[i] = make(map[int32]float64, 2)
-	}
-	if _, ok := pg.ovOut[i][int32(j)]; !ok {
-		pg.ovCount++
-		pg.outDeg[i]++
-		pg.inDeg[j]++
-		if pg.ovIn[j] == nil {
-			pg.ovIn[j] = make(map[int32]struct{}, 2)
-		}
-		pg.ovIn[j][int32(i)] = struct{}{}
-	}
-	pg.ovOut[i][int32(j)] = p
-}
-
-// detachAt removes every live edge incident to vertex i — CSR slots are
-// zeroed in place through both mirrors, overlay edges are deleted.
+// detachAt removes every live edge incident to vertex i, zeroing its CSR
+// slots in place through both mirrors.
 //
 //remp:hotpath
 func (pg *ProbGraph) detachAt(i int) {
@@ -370,71 +301,11 @@ func (pg *ProbGraph) detachAt(i int) {
 			pg.inDeg[i]--
 		}
 	}
-	if pg.ovOut == nil {
-		return
-	}
-	for j := range pg.ovOut[i] {
-		delete(pg.ovIn[j], int32(i))
-		pg.ovCount--
-		pg.outDeg[i]--
-		pg.inDeg[j]--
-	}
-	clear(pg.ovOut[i])
-	for s := range pg.ovIn[i] {
-		delete(pg.ovOut[s], int32(i))
-		pg.ovCount--
-		pg.outDeg[s]--
-		pg.inDeg[i]--
-	}
-	clear(pg.ovIn[i])
 }
 
-// degreeAt returns the live out/in degree of vertex i (overlay included).
+// degreeAt returns the live out/in degree of vertex i.
 func (pg *ProbGraph) degreeAt(i int) (out, in int32) {
 	return pg.outDeg[i], pg.inDeg[i]
-}
-
-// Fold merges the overlay back into a compacted CSR: removed slots are
-// dropped, overlay edges gain real slots, and the secondary arrays are
-// rebuilt. Re-estimation rebuilds call it so the steady-state hot path
-// always runs on a pure CSR with an empty overlay.
-func (pg *ProbGraph) Fold() {
-	if pg.ovCount == 0 {
-		pg.ovOut, pg.ovIn = nil, nil
-		return
-	}
-	n := pg.g.NumVertices()
-	newRowStart := make([]int32, n+1)
-	newColIdx := make([]int32, 0, len(pg.colIdx)+pg.ovCount)
-	newProb := make([]float64, 0, len(pg.colIdx)+pg.ovCount)
-	type entry struct {
-		j int32
-		p float64
-	}
-	var row []entry
-	for i := 0; i < n; i++ {
-		row = row[:0]
-		for e := pg.rowStart[i]; e < pg.rowStart[i+1]; e++ {
-			if pg.prob[e] > 0 {
-				row = append(row, entry{pg.colIdx[e], pg.prob[e]})
-			}
-		}
-		if pg.ovOut != nil {
-			for j, p := range pg.ovOut[i] {
-				row = append(row, entry{j, p})
-			}
-		}
-		// CSR and overlay are disjoint by the setProbAt invariant, so a
-		// plain sort (no dedupe) restores the ascending-column layout.
-		slices.SortFunc(row, func(a, b entry) int { return int(a.j) - int(b.j) })
-		for _, en := range row {
-			newColIdx = append(newColIdx, en.j)
-			newProb = append(newProb, en.p)
-		}
-		newRowStart[i+1] = int32(len(newColIdx))
-	}
-	pg.rowStart, pg.colIdx, pg.prob = newRowStart, newColIdx, newProb
-	pg.finish()
 }
 
 // Prob returns Pr[m_to | m_from], or 0 when no edge exists.
@@ -447,17 +318,6 @@ func (pg *ProbGraph) Prob(from, to pair.Pair) float64 {
 	return pg.probAt(i, j)
 }
 
-// SetProb overrides an edge probability (used when re-estimating edges
-// after truth inference).
-func (pg *ProbGraph) SetProb(from, to pair.Pair, p float64) {
-	i := pg.g.IndexOf(from)
-	j := pg.g.IndexOf(to)
-	if i < 0 || j < 0 || i == j {
-		return
-	}
-	pg.setProbAt(i, j, p)
-}
-
 // NumEdges returns the number of positive-probability directed edges.
 func (pg *ProbGraph) NumEdges() int {
 	n := 0
@@ -466,7 +326,7 @@ func (pg *ProbGraph) NumEdges() int {
 			n++
 		}
 	}
-	return n + pg.ovCount
+	return n
 }
 
 // Length returns −log Pr[m_to | m_from], the shortest-path edge length of

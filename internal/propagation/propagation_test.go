@@ -310,22 +310,6 @@ func TestInferAllMatchesDijkstra(t *testing.T) {
 	}
 }
 
-func TestSetProbUpdates(t *testing.T) {
-	g, k1, k2, vs := chainGraph(3, false)
-	pg := BuildProb(g, k1, k2, strongParams(g))
-	pg.SetProb(vs[0], vs[1], 0.5)
-	if p := pg.Prob(vs[0], vs[1]); p != 0.5 {
-		t.Errorf("SetProb not applied: %v", p)
-	}
-	pg.SetProb(vs[0], vs[1], 0)
-	if p := pg.Prob(vs[0], vs[1]); p != 0 {
-		t.Errorf("edge removal failed: %v", p)
-	}
-	if !math.IsInf(pg.Length(vs[0], vs[1]), 1) {
-		t.Error("Length of removed edge should be +Inf")
-	}
-}
-
 func TestWrongPairGetsLowProbability(t *testing.T) {
 	g, k1, k2, vs := chainGraph(4, true)
 	pg := BuildProb(g, k1, k2, strongParams(g))

@@ -395,11 +395,6 @@ func PrepareSpec(spec []byte) (*core.Prepared, error) {
 	return remp.PreparePipeline(ds, req.Options.ToOptions())
 }
 
-// SetDefaultShards sets the shard count applied to sessions whose create
-// request does not specify one (the cmd/remp-server -shards flag). 0
-// keeps automatic sharding.
-func (s *Server) SetDefaultShards(n int) { s.defaultShards = n }
-
 // Shutdown drains the server: in-flight requests finish (bounded by
 // ctx), later requests are refused with 503, every session's durable
 // snapshot is flushed to its current state and the store is closed.

@@ -134,10 +134,11 @@ func (m *Manager) cacheLocked(namespace string) *Cache {
 }
 
 // Create starts a new session in the namespace and registers it under a
-// fresh ID. The Prepared must be exclusive to the session. meta is the
-// opaque pipeline spec stored alongside the session — whatever the
-// caller needs to re-prepare the same pipeline when recovering the
-// session from the store (may be nil when recovery is not needed).
+// fresh ID. The session only reads the Prepared, so sessions may share
+// one. meta is the opaque pipeline spec stored alongside the session —
+// whatever the caller needs to re-prepare the same pipeline when
+// recovering the session from the store (may be nil when recovery is not
+// needed).
 func (m *Manager) Create(p *core.Prepared, namespace string, meta []byte) (*Session, error) {
 	id := m.claimID()
 	cache := m.Cache(namespace)

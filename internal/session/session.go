@@ -147,10 +147,10 @@ type Session struct {
 	flip    bool       // pipeline orientation is the reverse of the cache's
 }
 
-// New starts a session over a freshly prepared pipeline. The Prepared must
-// be exclusive to this session (the loop mutates its probabilistic graph).
-// cache may be nil; when set, the session first drains any answers the
-// cache already holds for its opening batch.
+// New starts a session over a prepared pipeline. The loop only reads the
+// Prepared, so one Prepared may back many sessions. cache may be nil;
+// when set, the session first drains any answers the cache already holds
+// for its opening batch.
 func New(id string, p *core.Prepared, cache *Cache) *Session {
 	s := &Session{id: id, loop: p.NewLoop(), cache: cache, k1: p.K1.Name(), k2: p.K2.Name()}
 	if cache != nil {

@@ -293,7 +293,8 @@ func NewPipeline(ds Dataset, opts Options) (*Pipeline, error) {
 	return &Pipeline{prepared: p}, nil
 }
 
-// Run executes the human–machine loop.
+// Run executes the human–machine loop. It never changes the pipeline, so
+// it may be called repeatedly: each call starts from the prepared state.
 func (p *Pipeline) Run(asker Asker) (*Result, error) {
 	if asker == nil {
 		return nil, ErrNilInput
