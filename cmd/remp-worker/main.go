@@ -1,8 +1,8 @@
 // Command remp-worker hosts shard engines for a clustered remp-server.
 // It speaks the internal/cluster RPC protocol (length-prefixed JSON
 // frames over TCP): the server's coordinator assigns it shards of live
-// sessions, streams their command logs, and reads candidates, picks and
-// balls back. Workers are stateless across restarts by design — a
+// sessions, streams their command logs, and reads candidates and balls
+// back. Workers are stateless across restarts by design — a
 // worker that dies loses only replayable state, which the coordinator
 // re-prepares on the survivors, so results stay byte-identical.
 //
@@ -21,6 +21,7 @@ import (
 	"flag"
 	"fmt"
 	"log"
+	"log/slog"
 	"net"
 	"os"
 
@@ -42,7 +43,7 @@ func main() {
 	}
 	cfg := cluster.WorkerConfig{Prepare: server.PrepareSpec, Faults: faults}
 	if !*quiet {
-		cfg.Logf = log.Printf
+		cfg.Logger = slog.Default()
 	}
 	w := cluster.NewWorker(cfg)
 

@@ -2,7 +2,9 @@ package cluster
 
 import (
 	"encoding/json"
+	"log/slog"
 	"net"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -26,6 +28,9 @@ type testSpec struct {
 	Mu      int    `json:"mu"`
 	Hybrid  bool   `json:"hybrid,omitempty"`
 	Budget  int    `json:"budget,omitempty"`
+	// AllHard sets unreachable accept/reject thresholds, so every answer
+	// leaves its question hard.
+	AllHard bool `json:"all_hard,omitempty"`
 }
 
 func (s testSpec) config() core.Config {
@@ -34,6 +39,13 @@ func (s testSpec) config() core.Config {
 	cfg.Mu = s.Mu
 	cfg.Hybrid = s.Hybrid
 	cfg.Budget = s.Budget
+	if s.AllHard {
+		cfg.Thresholds = crowd.Thresholds{Accept: 1.1, Reject: -0.1}
+		// Asking every candidate once takes ~200 loops; the cap turns a
+		// runner that re-asks hard questions into a Loops mismatch
+		// instead of a hang.
+		cfg.MaxLoops = 400
+	}
 	return cfg
 }
 
@@ -49,6 +61,18 @@ func prepareFromSpec(raw []byte) (*core.Prepared, error) {
 	return core.Prepare(ds.K1, ds.K2, s.config()), nil
 }
 
+// testLogger routes diagnostic log records into the test log.
+func testLogger(t *testing.T) *slog.Logger {
+	return slog.New(slog.NewTextHandler(testWriter{t}, nil))
+}
+
+type testWriter struct{ t *testing.T }
+
+func (w testWriter) Write(p []byte) (int, error) {
+	w.t.Log(strings.TrimSuffix(string(p), "\n"))
+	return len(p), nil
+}
+
 // startWorker serves a Worker on a loopback listener.
 func startWorker(t *testing.T, faults *Faults) (string, *Worker) {
 	t.Helper()
@@ -56,7 +80,7 @@ func startWorker(t *testing.T, faults *Faults) (string, *Worker) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	w := NewWorker(WorkerConfig{Prepare: prepareFromSpec, Faults: faults, Logf: t.Logf})
+	w := NewWorker(WorkerConfig{Prepare: prepareFromSpec, Faults: faults, Logger: testLogger(t)})
 	go w.Serve(ln)
 	t.Cleanup(func() { w.Close() })
 	return ln.Addr().String(), w
@@ -75,7 +99,7 @@ func testCoordinator(t *testing.T, addrs []string, faults *Faults, m *Metrics) *
 		BackoffMax:        40 * time.Millisecond,
 		Faults:            faults,
 		Metrics:           m,
-		Logf:              t.Logf,
+		Logger:            testLogger(t),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -171,8 +195,9 @@ func oracleFor(t *testing.T, spec testSpec) *core.OracleAsker {
 // TestRemoteRunnerMatchesLocal is the cluster's oracle-equivalence
 // guarantee on a healthy cluster: a run whose shard engines live on two
 // worker processes resolves byte-identically to the synchronous
-// in-process run, across config variants that exercise every RPC (rank,
-// gather, ball, rebuild via re-estimation, damp via the hybrid path).
+// in-process run, across config variants that exercise every RPC and
+// command (gather, ball, rebuild via re-estimation, hard via unreachable
+// thresholds).
 func TestRemoteRunnerMatchesLocal(t *testing.T) {
 	cases := []struct {
 		name string
@@ -181,6 +206,7 @@ func TestRemoteRunnerMatchesLocal(t *testing.T) {
 		{"default", testSpec{Dataset: "books", Seed: 7, Shards: 4, Mu: 4}},
 		{"hybrid", testSpec{Dataset: "books", Seed: 8, Shards: 3, Mu: 5, Hybrid: true}},
 		{"budgeted", testSpec{Dataset: "books", Seed: 9, Shards: 4, Mu: 3, Budget: 25}},
+		{"hard", testSpec{Dataset: "books", Seed: 10, Shards: 4, Mu: 4, AllHard: true}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -195,7 +221,7 @@ func TestRemoteRunnerMatchesLocal(t *testing.T) {
 }
 
 // TestRemoteRunnerMatchesLocalNoisyCrowd repeats the equivalence check
-// with a fallible simulated crowd, so hard-question damping and non-match
+// with a fallible simulated crowd, so hard-question marking and non-match
 // detaches travel the wire too.
 func TestRemoteRunnerMatchesLocalNoisyCrowd(t *testing.T) {
 	spec := testSpec{Dataset: "books", Seed: 11, Shards: 4, Mu: 4}

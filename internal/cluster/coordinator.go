@@ -7,6 +7,7 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
+	"log/slog"
 	"net"
 	"sync"
 	"sync/atomic"
@@ -37,8 +38,8 @@ type CoordinatorConfig struct {
 	Faults *Faults
 	// Metrics receives liveness, retry and reassignment counts.
 	Metrics *Metrics
-	// Logf, when non-nil, receives diagnostic log lines.
-	Logf func(format string, args ...any)
+	// Logger, when non-nil, receives diagnostic log records.
+	Logger *slog.Logger
 }
 
 func (c *CoordinatorConfig) fill() {
@@ -121,9 +122,9 @@ func (co *Coordinator) Close() {
 	}
 }
 
-func (co *Coordinator) logf(format string, args ...any) {
-	if co.cfg.Logf != nil {
-		co.cfg.Logf(format, args...)
+func (co *Coordinator) log(level slog.Level, msg string, args ...any) {
+	if co.cfg.Logger != nil {
+		co.cfg.Logger.Log(context.Background(), level, msg, args...)
 	}
 }
 
@@ -179,13 +180,13 @@ func (co *Coordinator) heartbeat(wc *workerClient) {
 		if err == nil {
 			lastPong = time.Now()
 			if wc.isDown() {
-				co.logf("cluster: worker %s is back", wc.addr)
+				co.log(slog.LevelInfo, "cluster: worker is back", "worker", wc.addr)
 				wc.markUp()
 			}
 			continue
 		}
 		if !wc.isDown() && time.Since(lastPong) > co.cfg.LivenessTimeout {
-			co.logf("cluster: worker %s missed heartbeats for %v, marking down", wc.addr, co.cfg.LivenessTimeout)
+			co.log(slog.LevelWarn, "cluster: worker missed heartbeats, marking down", "worker", wc.addr, "liveness_timeout", co.cfg.LivenessTimeout)
 			wc.markDown()
 		}
 	}
@@ -264,7 +265,7 @@ func (wc *workerClient) strike() {
 	hit := wc.strikes >= strikeLimit && !wc.down
 	wc.mu.Unlock()
 	if hit {
-		wc.co.logf("cluster: worker %s struck out, marking down", wc.addr)
+		wc.co.log(slog.LevelWarn, "cluster: worker struck out, marking down", "worker", wc.addr)
 		wc.markDown()
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"log/slog"
 	"sync"
 
 	"repro/internal/consistency"
@@ -52,7 +53,7 @@ func (co *Coordinator) Runner(spec []byte) core.RunnerFactory {
 		if err := errors.Join(errs...); err != nil {
 			return nil, fmt.Errorf("cluster: assigning shards: %w", err)
 		}
-		co.logf("cluster: runner %s assigned %d shards across %d workers", r.id, n, co.LiveWorkers())
+		co.log(slog.LevelInfo, "cluster: runner assigned shards", "runner", r.id, "shards", n, "live_workers", co.LiveWorkers())
 		return r, nil
 	}
 }
@@ -112,8 +113,8 @@ func (r *remoteRunner) Resolve(s int, q pair.Pair, detach bool) error {
 	return nil
 }
 
-func (r *remoteRunner) Damp(s int, q pair.Pair, prior float64) error {
-	r.append(s, Cmd{Op: OpDamp, Pair: q, Prior: prior})
+func (r *remoteRunner) MarkHard(s int, q pair.Pair) error {
+	r.append(s, Cmd{Op: OpHard, Pair: q})
 	return nil
 }
 
@@ -130,25 +131,14 @@ func (r *remoteRunner) Invalidate(s int) error {
 func (r *remoteRunner) Gather(s int) ([]selection.Candidate, bool, error) {
 	// The sync marker makes the gather's engine sync part of the log:
 	// replaying a lost shard re-executes every sync at its original
-	// position, so the last-sync snapshot Ball serves — and the candidates
-	// a replayed Rank re-derives — reproduce bit-identically.
+	// position, so the last-sync snapshot Ball serves reproduces
+	// bit-identically.
 	r.append(s, Cmd{Op: OpSync})
 	res, err := r.do(s, MethodGather, shardReq{})
 	if err != nil {
 		return nil, false, err
 	}
 	return res.Cands, res.AnyProp, nil
-}
-
-func (r *remoteRunner) Rank(s, mu int) ([]selection.Pick, error) {
-	res, err := r.do(s, MethodRank, shardReq{Mu: mu})
-	if err != nil {
-		return nil, err
-	}
-	if res.Picks == nil {
-		res.Picks = []selection.Pick{}
-	}
-	return res.Picks, nil
 }
 
 func (r *remoteRunner) Ball(s int, q pair.Pair) ([]pair.Pair, error) {
@@ -285,8 +275,8 @@ func (r *remoteRunner) ensure(ctx context.Context, s int, bo *backoff) (int, err
 		if sh.assigned {
 			// The shard had an owner before: this prepare is a failover.
 			r.co.cfg.Metrics.reassignments().Inc()
-			r.co.logf("cluster: runner %s shard %d reassigned %s -> %s",
-				r.id, s, r.co.workers[sh.worker].addr, wc.addr)
+			r.co.log(slog.LevelWarn, "cluster: shard reassigned", "runner", r.id, "shard", s,
+				"from", r.co.workers[sh.worker].addr, "to", wc.addr)
 		}
 		sh.worker = wi
 		sh.prepared = true

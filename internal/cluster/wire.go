@@ -16,8 +16,6 @@ const (
 	MethodApply = "apply"
 	// MethodGather syncs the shard engine and returns its candidates.
 	MethodGather = "gather"
-	// MethodRank returns the shard's µ-batch picks.
-	MethodRank = "rank"
 	// MethodBall returns a confirmed match's last-sync propagation ball.
 	MethodBall = "ball"
 	// MethodRelease frees a settled shard's engine.
@@ -35,8 +33,9 @@ const (
 	// OpResolve resolves a vertex (ShardState.Resolve), optionally
 	// detaching it from the propagation fabric.
 	OpResolve = "resolve"
-	// OpDamp overlays a hard question's damped prior (ShardState.Damp).
-	OpDamp = "damp"
+	// OpHard withholds a hard question from later gathers
+	// (ShardState.MarkHard).
+	OpHard = "hard"
 	// OpSync recomputes dirty balls (ShardState.Sync). Logged at every
 	// gather position so a replay reproduces the last-sync snapshot that
 	// Ball serves.
@@ -91,7 +90,6 @@ type Cmd struct {
 	Op     string    `json:"op"`
 	Pair   pair.Pair `json:"pair,omitempty"`
 	Detach bool      `json:"detach,omitempty"`
-	Prior  float64   `json:"prior,omitempty"`
 	Est    []EstDTO  `json:"est,omitempty"`
 }
 
@@ -114,8 +112,6 @@ type shardReq struct {
 	Runner string `json:"runner"`
 	Shard  int    `json:"shard"`
 	Cmds   []Cmd  `json:"cmds,omitempty"`
-	// Mu is the batch size for MethodRank.
-	Mu int `json:"mu,omitempty"`
 	// Pair is the confirmed match for MethodBall.
 	Pair pair.Pair `json:"pair,omitempty"`
 }
@@ -126,7 +122,6 @@ type shardRes struct {
 	Applied int                   `json:"applied"`
 	Cands   []selection.Candidate `json:"cands,omitempty"`
 	AnyProp bool                  `json:"any_prop,omitempty"`
-	Picks   []selection.Pick      `json:"picks,omitempty"`
 	Ball    []pair.Pair           `json:"ball,omitempty"`
 }
 

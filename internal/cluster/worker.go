@@ -5,6 +5,7 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
+	"log/slog"
 	"net"
 	"sync"
 
@@ -19,8 +20,8 @@ type WorkerConfig struct {
 	// so one expensive Prepare backs every shard of a session — and every
 	// session with the same spec.
 	Prepare func(spec []byte) (*core.Prepared, error)
-	// Logf, when non-nil, receives diagnostic log lines.
-	Logf func(format string, args ...any)
+	// Logger, when non-nil, receives diagnostic log records.
+	Logger *slog.Logger
 	// Faults injects failures for chaos drills; CrashAfterRPCs is the
 	// worker-side fault (the worker tears itself down after handling N
 	// non-ping requests, simulating a SIGKILL).
@@ -81,9 +82,9 @@ func NewWorker(cfg WorkerConfig) *Worker {
 	}
 }
 
-func (w *Worker) logf(format string, args ...any) {
-	if w.cfg.Logf != nil {
-		w.cfg.Logf(format, args...)
+func (w *Worker) log(msg string, args ...any) {
+	if w.cfg.Logger != nil {
+		w.cfg.Logger.Info(msg, args...)
 	}
 }
 
@@ -165,7 +166,7 @@ func (w *Worker) serveConn(conn net.Conn) {
 			continue
 		}
 		if env.Method != MethodPing && w.cfg.Faults.crashDue() {
-			w.logf("cluster worker: crash fault tripped, tearing down")
+			w.log("cluster worker: crash fault tripped, tearing down")
 			w.Close()
 			return
 		}
@@ -200,7 +201,7 @@ func (w *Worker) handle(method string, body json.RawMessage) (res json.RawMessag
 			return nil, "", fmt.Errorf("cluster worker: bad prepare body: %w", err)
 		}
 		return w.handlePrepare(req)
-	case MethodApply, MethodGather, MethodRank, MethodBall, MethodRelease:
+	case MethodApply, MethodGather, MethodBall, MethodRelease:
 		var req shardReq
 		if err := json.Unmarshal(body, &req); err != nil {
 			return nil, "", fmt.Errorf("cluster worker: bad %s body: %w", method, err)
@@ -262,7 +263,7 @@ func (w *Worker) handlePrepare(req prepareReq) (json.RawMessage, string, error) 
 	// replayed log rebuilds it from sequence 1.
 	w.shards[shardKey{req.Runner, req.Shard}] = ws
 	w.shardMu.Unlock()
-	w.logf("cluster worker: prepared runner %s shard %d", req.Runner, req.Shard)
+	w.log("cluster worker: prepared shard", "runner", req.Runner, "shard", req.Shard)
 	return mustMarshal(shardRes{Applied: 0}), "", nil
 }
 
@@ -283,8 +284,6 @@ func (w *Worker) handleShard(method string, req shardReq) (json.RawMessage, stri
 	case MethodApply:
 	case MethodGather:
 		res.Cands, res.AnyProp = ws.st.Gather()
-	case MethodRank:
-		res.Picks = ws.st.Rank(req.Mu)
 	case MethodBall:
 		res.Ball = ws.st.Ball(req.Pair)
 	case MethodRelease:
@@ -308,8 +307,8 @@ func (ws *workerShard) apply(cmds []Cmd) error {
 		switch c.Op {
 		case OpResolve:
 			ws.st.Resolve(c.Pair, c.Detach)
-		case OpDamp:
-			ws.st.Damp(c.Pair, c.Prior)
+		case OpHard:
+			ws.st.MarkHard(c.Pair)
 		case OpSync:
 			ws.st.Sync()
 		case OpInvalidate:

@@ -60,8 +60,8 @@ type Answer struct {
 //
 // dirty tracks whether anything that feeds candidate gathering changed
 // since the shard's last gather: an answer applied to a shard vertex, a
-// competitor resolved into the shard, a damped prior, or an engine
-// rebuild. A clean shard's candidates — and its ranked selection — are
+// competitor resolved into the shard, a hard question, or an engine
+// rebuild. A clean shard's candidates — and its selection — are
 // bit-identical to the previous loop's, so both are cached and reused; a
 // monolithic pipeline is dirtied by every answer, which is exactly the
 // per-loop cost sharding scopes down.
@@ -72,6 +72,8 @@ type loopShard struct {
 	dirty   bool
 	cands   []selection.Candidate
 	anyProp bool
+	// picks is the strategy's selection over cands for a batch of picksMu
+	// questions; picksMu == 0 marks it stale.
 	picks   []selection.Pick
 	picksMu int
 }
@@ -90,15 +92,16 @@ type loopShard struct {
 // paper's stop criterion halts the loop and the isolated-pair classifier
 // finalizes the result.
 //
-// When the pipeline is sharded, each shard runs its propagation engine,
-// candidate gathering, question selection and re-estimation rebuild
-// independently — fanned across the Config's Scheduler — while one global
-// budget/µ-batch scheduler draws each batch across the shards by expected
-// benefit. Propagation evidence never crosses shards (the partition
-// follows the relational edges it flows along), and the only cross-shard
-// effect — the 1:1 constraint resolving a confirmed match's competitors —
-// runs on the serial answer-application path, so the sharded machine
-// resolves exactly the pairs the monolithic one would.
+// Each shard runs its propagation engine, candidate gathering, question
+// selection and re-estimation rebuild independently — fanned across the
+// Config's Scheduler — while one global budget/µ-batch scheduler draws
+// each batch across the shards by expected benefit; a monolithic
+// pipeline is just the one-shard case. Propagation evidence never
+// crosses shards (the partition follows the relational edges it flows
+// along), and the only cross-shard effect — the 1:1 constraint resolving
+// a confirmed match's competitors — runs on the serial
+// answer-application path, so the sharded machine resolves exactly the
+// pairs the monolithic one would.
 //
 // The engines live behind the Config's ShardRunner: in this process by
 // default, or on cluster worker processes behind internal/cluster's
@@ -111,8 +114,6 @@ type Loop struct {
 	p      *Prepared
 	r      ShardRunner
 	res    *Result
-	priors map[pair.Pair]float64
-	hard   pair.Set
 	shards []*loopShard
 
 	open    []pair.Pair                 // published batch, in selection order
@@ -153,12 +154,7 @@ func (p *Prepared) NewLoop() *Loop {
 			IsolatedPredicted: pair.Set{},
 			NonMatches:        pair.Set{},
 		},
-		priors: make(map[pair.Pair]float64, len(p.Priors)),
-		hard:   pair.Set{},
-		est:    p.Consistency,
-	}
-	for k, v := range p.Priors {
-		l.priors[k] = v
+		est: p.Consistency,
 	}
 	if p.Cfg.Deduce {
 		l.ded = deduce.New(deduce.OneToOne)
@@ -440,18 +436,17 @@ func (l *Loop) apply(q pair.Pair, labels []crowd.Label) {
 	l.history = append(l.history, Answer{Pair: q, Labels: labels})
 	l.res.Questions++
 	l.touch(q)
-	inf := crowd.Infer(l.priors[q], labels, cfg.Thresholds)
-	switch inf.Verdict {
+	// A question is applied at most once — it either resolves or goes
+	// hard, and gathering skips both — so its prepared prior is current.
+	switch crowd.Infer(l.p.Priors[q], labels, cfg.Thresholds).Verdict {
 	case crowd.IsMatch:
 		l.confirmMatch(q)
 	case crowd.IsNonMatch:
 		l.markNonMatch(q)
 	default:
-		// Hard question: damp its prior so its benefit shrinks.
-		l.priors[q] = inf.Posterior
-		l.hard.Add(q)
+		// Hard question: withhold it from every later gather.
 		if s := l.shardIndex(q); s >= 0 && !l.shards[s].settled && l.err == nil {
-			if err := l.r.Damp(s, q, inf.Posterior); err != nil {
+			if err := l.r.MarkHard(s, q); err != nil {
 				l.fail(err)
 			}
 		}
@@ -575,7 +570,7 @@ func (l *Loop) openBatch() {
 			return
 		}
 		sh.cands, sh.anyProp = cands, anyProp
-		sh.picks = nil
+		sh.picks, sh.picksMu = nil, 0
 		sh.dirty = false
 	})
 	cfg.Obs.StageEnd(obs.StageInfer, tInfer)
@@ -607,11 +602,7 @@ func (l *Loop) openBatch() {
 			return
 		}
 	}
-	chosen := l.selectBatch(cands, active, perShard, pos, mu)
-	if l.err != nil {
-		cfg.Obs.StageEnd(obs.StageSelect, tSelect)
-		return
-	}
+	chosen := l.selectBatch(active, pos, mu)
 	if len(chosen) < mu {
 		// Remp always issues µ questions per human-machine loop (§VIII,
 		// Table VII): pad the batch with the highest-prior unchosen
@@ -640,67 +631,40 @@ func (l *Loop) openBatch() {
 	l.buf = make(map[pair.Pair][]crowd.Label, len(l.open))
 }
 
-// selectBatch chooses up to mu questions. Single-shard loops (and custom
-// strategies without ranked selection) run the strategy over the merged
-// candidate list, exactly as the monolithic loop always has. Sharded loops
-// with a Ranked strategy select per shard concurrently and merge the
-// per-shard sequences by committed score — the global µ-batch drawn
-// across shards by expected benefit. Because inferred sets never cross
-// shards, the merged sequence equals what the strategy would have chosen
-// on the merged list: scores depend only on same-shard predecessors, and
-// ties break on the global candidate order either way. A clean shard's
-// ranked sequence is reused from the previous loop (its candidates are
-// unchanged, so its scores are too).
-func (l *Loop) selectBatch(cands []selection.Candidate, active []int, perShard [][]selection.Candidate, pos [][]int, mu int) []int {
+// selectBatch chooses up to mu questions as indexes into the merged
+// candidate list. The strategy runs per shard over the shard's cached
+// candidates, fanned across the scheduler, and the per-shard sequences
+// merge by committed score — the global µ-batch drawn across shards by
+// expected benefit. Because inferred sets never cross shards, the merged
+// sequence equals what the strategy would have chosen on the merged list:
+// scores depend only on same-shard predecessors, and ties break on the
+// global candidate order either way. One shard's candidates are the
+// merged list itself. A clean shard reuses its picks from the previous
+// loop (its candidates are unchanged, so its scores are too).
+func (l *Loop) selectBatch(active []int, pos [][]int, mu int) []int {
 	cfg := l.p.Cfg
-	_, ok := cfg.Strategy.(selection.Ranked)
-	if len(perShard) == 1 || !ok {
-		return cfg.Strategy.Select(cands, mu)
-	}
-	picks := make([][]selection.Pick, len(perShard))
-	stale := make([]int, 0, len(active))
-	for k, s := range active {
-		sh := l.shards[s]
-		if sh.picks == nil || sh.picksMu != mu {
-			stale = append(stale, k)
-		} else {
-			picks[k] = sh.picks
+	stale := make([]*loopShard, 0, len(active))
+	for _, s := range active {
+		if sh := l.shards[s]; sh.picksMu != mu {
+			stale = append(stale, sh)
 		}
 	}
-	rankErrs := make([]error, len(stale))
 	cfg.scheduler().ForEach(len(stale), func(i int) {
-		k := stale[i]
-		sh := l.shards[active[k]]
-		if len(perShard[k]) > 0 {
-			pk, err := l.r.Rank(active[k], mu)
-			if err != nil {
-				rankErrs[i] = err
-				return
-			}
-			sh.picks = pk
-		} else {
-			sh.picks = []selection.Pick{}
-		}
-		sh.picksMu = mu
-		picks[k] = sh.picks
+		sh := stale[i]
+		sh.picks, sh.picksMu = cfg.Strategy.Select(sh.cands, mu), mu
 	})
-	for _, err := range rankErrs {
-		if err != nil {
-			l.fail(err)
-			return nil
-		}
-	}
-	heads := make([]int, len(picks))
+	heads := make([]int, len(active))
 	var chosen []int
 	for len(chosen) < mu {
 		best := -1
 		bestScore := 0.0
 		bestPos := 0
-		for k := range picks {
-			if heads[k] >= len(picks[k]) {
+		for k, s := range active {
+			picks := l.shards[s].picks
+			if heads[k] >= len(picks) {
 				continue
 			}
-			pk := picks[k][heads[k]]
+			pk := picks[heads[k]]
 			gp := pos[k][pk.Index]
 			if best < 0 || pk.Score > bestScore || (pk.Score == bestScore && gp < bestPos) {
 				best, bestScore, bestPos = k, pk.Score, gp

@@ -76,7 +76,7 @@ func (a *contradictingAsker) Ask(q pair.Pair) []crowd.Label {
 
 func (a *contradictingAsker) NumQuestions() int { return len(a.asked) }
 
-// TestHardQuestionsNotReasked exercises the damping path: a question
+// TestHardQuestionsNotReasked exercises the hard-question path: a question
 // whose labels stay inconsistent — truth inference never crosses either
 // threshold — is marked hard and withheld from every later selection,
 // because re-asking cannot make progress when the platform reuses labels.
@@ -106,7 +106,7 @@ func TestHardQuestionsNotReasked(t *testing.T) {
 		t.Errorf("res.Questions = %d, want %d distinct questions", res.Questions, len(asker.asked))
 	}
 	// Every asked pair stayed unresolved, so every one of them took the
-	// damping path — and none was polled again.
+	// hard-question path — and none was polled again.
 	for q := range asker.asked {
 		if res.Matches.Has(q) || res.NonMatches.Has(q) {
 			t.Errorf("pair %v resolved despite inconsistent labels", q)

@@ -58,6 +58,33 @@ type Prepared struct {
 // probabilistic graph) is each loop's own work, done when its shard
 // states are built.
 func Prepare(k1, k2 *kb.KB, cfg Config) *Prepared {
+	return prepare(k1, k2, cfg, nil, func(p *Prepared) {
+		cands := make([]pair.Pair, len(p.Blocking.Candidates))
+		for i, c := range p.Blocking.Candidates {
+			cands[i] = c.Pair
+		}
+		p.Pruner = simvec.NewPruner(cands, p.Builder.All(cands))
+		p.Retained = p.Pruner.Prune(cands, p.Cfg.K)
+	})
+}
+
+// PrepareOnRetained builds a pipeline over an explicit retained pair set,
+// reusing a previously computed blocking result. It is used by the
+// Figure 6 scalability sweep, which measures Algorithms 2–3 on fractions
+// of Mrd.
+func PrepareOnRetained(k1, k2 *kb.KB, cfg Config, retained []pair.Pair, blk *blocking.Result) *Prepared {
+	return prepare(k1, k2, cfg, blk, func(p *Prepared) {
+		p.Retained = append([]pair.Pair(nil), retained...)
+		p.Pruner = simvec.NewPruner(p.Retained, p.Builder.All(p.Retained))
+	})
+}
+
+// prepare is the body Prepare and PrepareOnRetained share. It runs
+// blocking unless blk is given, matches attributes over the initial
+// matches and builds the similarity-vector builder, lets retain set the
+// retained pairs and their pruner, then builds the ER graph, priors,
+// entity index, consistency fit and shard split over them.
+func prepare(k1, k2 *kb.KB, cfg Config, blk *blocking.Result, retain func(p *Prepared)) *Prepared {
 	cfg.fill()
 	if err := cfg.Validate(); err != nil {
 		// Internal misuse: the public remp boundary returns this error to
@@ -66,29 +93,25 @@ func Prepare(k1, k2 *kb.KB, cfg Config) *Prepared {
 	}
 	t0 := cfg.Obs.StageStart()
 	defer cfg.Obs.StageEnd(obs.StagePrepare, t0)
-	p := &Prepared{K1: k1, K2: k2, Cfg: cfg}
+	p := &Prepared{K1: k1, K2: k2, Cfg: cfg, Blocking: blk}
 
-	tb := cfg.Obs.StageStart()
-	p.Blocking = blocking.Generate(k1, k2, blocking.Options{
-		Threshold: cfg.LabelSimThreshold,
-		Runner:    cfg.scheduler(),
-	})
-	cfg.Obs.StageEnd(obs.StageBlock, tb)
+	if blk == nil {
+		tb := cfg.Obs.StageStart()
+		p.Blocking = blocking.Generate(k1, k2, blocking.Options{
+			Threshold: cfg.LabelSimThreshold,
+			Runner:    cfg.scheduler(),
+		})
+		cfg.Obs.StageEnd(obs.StageBlock, tb)
+	}
 
 	ts := cfg.Obs.StageStart()
 	amOpts := attrmatch.DefaultOptions()
 	amOpts.LiteralThreshold = cfg.LiteralThreshold
 	amOpts.Runner = cfg.scheduler()
 	p.AttrMatches = attrmatch.FindMatches(k1, k2, p.Blocking.Initial, amOpts)
-
 	p.Builder = simvec.NewBuilder(k1, k2, p.AttrMatches, cfg.LiteralThreshold)
 	p.Builder.SetRunner(cfg.scheduler())
-	cands := make([]pair.Pair, len(p.Blocking.Candidates))
-	for i, c := range p.Blocking.Candidates {
-		cands[i] = c.Pair
-	}
-	p.Pruner = simvec.NewPruner(cands, p.Builder.All(cands))
-	p.Retained = p.Pruner.Prune(cands, cfg.K)
+	retain(p)
 	cfg.Obs.StageEnd(obs.StageSimilarity, ts)
 
 	p.Graph = ergraph.Build(k1, k2, p.Retained)
@@ -105,47 +128,6 @@ func Prepare(k1, k2 *kb.KB, cfg Config) *Prepared {
 	}
 
 	p.Consistency = p.fitConsistency(p.Blocking.Initial)
-	p.initShards()
-	return p
-}
-
-// PrepareOnRetained builds a pipeline over an explicit retained pair set,
-// reusing a previously computed blocking result. It is used by the
-// Figure 6 scalability sweep, which measures Algorithms 2–3 on fractions
-// of Mrd.
-func PrepareOnRetained(k1, k2 *kb.KB, cfg Config, retained []pair.Pair, blk *blocking.Result) *Prepared {
-	cfg.fill()
-	if err := cfg.Validate(); err != nil {
-		panic(err)
-	}
-	t0 := cfg.Obs.StageStart()
-	defer cfg.Obs.StageEnd(obs.StagePrepare, t0)
-	p := &Prepared{K1: k1, K2: k2, Cfg: cfg}
-	p.Blocking = blk
-
-	ts := cfg.Obs.StageStart()
-	amOpts := attrmatch.DefaultOptions()
-	amOpts.LiteralThreshold = cfg.LiteralThreshold
-	amOpts.Runner = cfg.scheduler()
-	p.AttrMatches = attrmatch.FindMatches(k1, k2, blk.Initial, amOpts)
-	p.Builder = simvec.NewBuilder(k1, k2, p.AttrMatches, cfg.LiteralThreshold)
-	p.Builder.SetRunner(cfg.scheduler())
-	p.Retained = append([]pair.Pair(nil), retained...)
-	p.Pruner = simvec.NewPruner(p.Retained, p.Builder.All(p.Retained))
-	cfg.Obs.StageEnd(obs.StageSimilarity, ts)
-
-	p.Graph = ergraph.Build(k1, k2, p.Retained)
-	p.Priors = make(map[pair.Pair]float64, len(p.Retained))
-	for _, q := range p.Retained {
-		p.Priors[q] = blk.Priors[q]
-	}
-	p.byEntity1 = make(map[kb.EntityID][]pair.Pair)
-	p.byEntity2 = make(map[kb.EntityID][]pair.Pair)
-	for _, v := range p.Graph.Vertices() {
-		p.byEntity1[v.U1] = append(p.byEntity1[v.U1], v)
-		p.byEntity2[v.U2] = append(p.byEntity2[v.U2], v)
-	}
-	p.Consistency = p.fitConsistency(blk.Initial)
 	p.initShards()
 	return p
 }

@@ -10,18 +10,18 @@ import (
 
 // ShardRunner abstracts where a Loop's per-shard propagation engines live.
 // The loop owns every global decision — answer application order, the
-// result sets, budget and µ-batch selection across shards, settling — and
-// drives the runner with per-shard operations; the runner holds one
-// ShardState per shard — the shard's probabilistic graph, its engine and
-// the per-shard state those operations read (resolved/hard vertex
-// mirrors, the damped priors, the detached set). The in-process runner
-// (NewLocalRunner, the default) holds the states in the loop's own
-// process; internal/cluster's remote runner places them on worker
-// processes behind an RPC protocol and replays the operation log to
-// survive worker crashes. Neither writes to the Prepared.
+// result sets, budget, question selection, settling — and drives the
+// runner with per-shard operations; the runner holds one ShardState per
+// shard — the shard's probabilistic graph, its engine and the per-shard
+// state those operations read (resolved/hard vertex mirrors, the
+// detached set). The in-process runner (NewLocalRunner, the default)
+// holds the states in the loop's own process; internal/cluster's remote
+// runner places them on worker processes behind an RPC protocol and
+// replays the operation log to survive worker crashes. Neither writes to
+// the Prepared.
 //
 // Operations on distinct shards may be invoked concurrently (the loop fans
-// gathers, ranks and rebuilds across its scheduler); operations on one
+// gathers and rebuilds across its scheduler); operations on one
 // shard are always serialized by the loop. A conforming runner must
 // replicate the local runner's observable behavior exactly — every
 // byte-identity guarantee the loop makes extends to any runner that does.
@@ -30,16 +30,13 @@ type ShardRunner interface {
 	// removes q's edges from the propagation fabric (the non-match path).
 	// Resolving an already resolved vertex is idempotent.
 	Resolve(s int, q pair.Pair, detach bool) error
-	// Damp marks q a hard question with the given damped prior: candidate
-	// gathering skips it from now on.
-	Damp(s int, q pair.Pair, prior float64) error
+	// MarkHard marks q a hard question: candidate gathering skips it from
+	// now on.
+	MarkHard(s int, q pair.Pair) error
 	// Gather syncs shard s's engine and assembles its candidate questions,
 	// with inferred sets as global vertex indexes. The boolean reports
 	// whether some candidate can still infer a pair other than itself.
 	Gather(s int) ([]selection.Candidate, bool, error)
-	// Rank runs the configured Ranked strategy over shard s's candidates
-	// from its latest gather, for a batch of size mu.
-	Rank(s, mu int) ([]selection.Pick, error)
 	// Ball returns the vertices a confirmed match at q would infer — q's
 	// bounded-distance ball as of the last engine sync — in propagation
 	// order (ascending distance, ties by pair order), unfiltered by
@@ -76,12 +73,12 @@ func (c *Config) runnerFactory() RunnerFactory {
 // ShardState is one shard's live engine state: the shard's probabilistic
 // graph and the incremental propagation engine over it, plus the mirrors
 // of the loop's resolution state that candidate gathering and rebuilds
-// read (resolved and hard vertices, damped priors, detached vertices). It
-// is the only owner of a probabilistic graph, and the execution substrate
-// both ShardRunner implementations share — the local runner holds one per
-// shard in process, and a cluster worker holds one per assigned shard,
-// fed the same operations over RPC — so both compute bit-identical
-// candidates, ranks, balls and rebuilds by construction.
+// read (resolved, hard and detached vertices). It is the only owner of a
+// probabilistic graph, and the execution substrate both ShardRunner
+// implementations share — the local runner holds one per shard in
+// process, and a cluster worker holds one per assigned shard, fed the
+// same operations over RPC — so both compute bit-identical candidates,
+// balls and rebuilds by construction.
 //
 // A ShardState is not safe for concurrent use; the loop serializes
 // operations per shard, and workers add their own locking.
@@ -93,11 +90,6 @@ type ShardState struct {
 	resolved pair.Set
 	detached pair.Set
 	hard     pair.Set
-	damped   map[pair.Pair]float64
-
-	gathered  bool
-	lastCands []selection.Candidate
-	anyProp   bool
 }
 
 // NewShardState builds shard s's engine state over a fresh probabilistic
@@ -110,7 +102,6 @@ func (p *Prepared) NewShardState(s int) *ShardState {
 		resolved: pair.Set{},
 		detached: pair.Set{},
 		hard:     pair.Set{},
-		damped:   map[pair.Pair]float64{},
 	}
 	st.eng = propagation.NewEngineObs(st.buildProb(p.Consistency), p.Cfg.Tau, p.Cfg.Obs.EngineCounters())
 	return st
@@ -142,13 +133,12 @@ func (st *ShardState) Resolve(q pair.Pair, detach bool) {
 	}
 }
 
-// Damp marks q a hard question with its damped prior; gathers skip it.
-func (st *ShardState) Damp(q pair.Pair, prior float64) {
+// MarkHard marks q a hard question; gathers skip it.
+func (st *ShardState) MarkHard(q pair.Pair) {
 	if st.eng == nil {
 		return
 	}
 	st.hard.Add(q)
-	st.damped[q] = prior
 }
 
 // Sync recomputes the engine's dirty balls without assembling candidates.
@@ -160,15 +150,6 @@ func (st *ShardState) Sync() {
 	if st.eng != nil {
 		st.eng.Sync()
 	}
-}
-
-// priorOf returns q's working prior: the damped value if the question went
-// hard, the prepared prior otherwise.
-func (st *ShardState) priorOf(q pair.Pair) float64 {
-	if p, ok := st.damped[q]; ok {
-		return p
-	}
-	return st.p.Priors[q]
 }
 
 // Gather syncs the engine and assembles the candidate question list over
@@ -195,9 +176,7 @@ func (st *ShardState) Gather() ([]selection.Candidate, bool) {
 		live++
 		total += len(st.eng.Ball(li)) + 1
 	}
-	st.gathered = true
 	if live == 0 {
-		st.lastCands, st.anyProp = nil, false
 		return nil, false
 	}
 	backing := make([]int, 0, total)
@@ -218,29 +197,9 @@ func (st *ShardState) Gather() ([]selection.Candidate, bool) {
 		if len(inf) > 1 {
 			anyPropagation = true
 		}
-		cands = append(cands, selection.Candidate{Pair: v, Prob: st.priorOf(v), Inferred: inf})
+		cands = append(cands, selection.Candidate{Pair: v, Prob: st.p.Priors[v], Inferred: inf})
 	}
-	st.lastCands, st.anyProp = cands, anyPropagation
 	return cands, anyPropagation
-}
-
-// Rank runs the configured Ranked strategy over the latest gather's
-// candidates. A state that has never gathered (a worker that just replayed
-// a reassigned shard's log) gathers first; the engine is already at the
-// logged sync position, so the candidates — and hence the ranks — equal
-// the ones the lost worker computed.
-func (st *ShardState) Rank(mu int) []selection.Pick {
-	if !st.gathered {
-		st.Gather()
-	}
-	if len(st.lastCands) == 0 {
-		return []selection.Pick{}
-	}
-	ranked, ok := st.p.Cfg.Strategy.(selection.Ranked)
-	if !ok {
-		return []selection.Pick{}
-	}
-	return ranked.SelectRanked(st.lastCands, mu)
 }
 
 // Ball returns q's bounded-distance ball as of the last engine sync, in
@@ -290,10 +249,7 @@ func (st *ShardState) Invalidate() {
 
 // Release drops the engine — its dist/rev ball maps are the dominant
 // memory. Later operations are no-ops.
-func (st *ShardState) Release() {
-	st.eng = nil
-	st.lastCands = nil
-}
+func (st *ShardState) Release() { st.eng = nil }
 
 // localRunner is the in-process ShardRunner: one ShardState per shard,
 // built concurrently under the pipeline scheduler. Its operations never
@@ -319,18 +275,14 @@ func (r *localRunner) Resolve(s int, q pair.Pair, detach bool) error {
 	return nil
 }
 
-func (r *localRunner) Damp(s int, q pair.Pair, prior float64) error {
-	r.states[s].Damp(q, prior)
+func (r *localRunner) MarkHard(s int, q pair.Pair) error {
+	r.states[s].MarkHard(q)
 	return nil
 }
 
 func (r *localRunner) Gather(s int) ([]selection.Candidate, bool, error) {
 	cands, anyProp := r.states[s].Gather()
 	return cands, anyProp, nil
-}
-
-func (r *localRunner) Rank(s, mu int) ([]selection.Pick, error) {
-	return r.states[s].Rank(mu), nil
 }
 
 func (r *localRunner) Ball(s int, q pair.Pair) ([]pair.Pair, error) {

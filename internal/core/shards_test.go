@@ -52,7 +52,7 @@ func TestShardedRunMatchesUnsharded(t *testing.T) {
 
 // TestShardedRunMatchesUnshardedNoisyCrowd repeats the equivalence check
 // with a fallible simulated crowd: inference verdicts, hard-question
-// damping and non-match detaches must all shard identically. The platform
+// marking and non-match detaches must all shard identically. The platform
 // caches labels per pair, so both runs see the same answers.
 func TestShardedRunMatchesUnshardedNoisyCrowd(t *testing.T) {
 	k1, k2, gold := movieWorld(7, 22)

@@ -3,7 +3,8 @@
 // inference of §VII-A. Each question is assigned to several workers; a
 // worker answers correctly with probability λ_w (the worker probability
 // model); posterior match probabilities follow Eq. (17) and are thresholded
-// into matches, non-matches and "hard" questions whose priors get damped.
+// into matches, non-matches and "hard" questions that neither threshold
+// resolves.
 package crowd
 
 import (

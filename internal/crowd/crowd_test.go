@@ -81,7 +81,8 @@ func TestInferChanceWorkerCarriesNoSignal(t *testing.T) {
 // (17) corners: λ→1 workers in conflict, all-abstain answers, the
 // clamped priors, worse-than-chance workers, and the exact accept /
 // reject threshold boundaries that decide whether a question lands in
-// the hard-question band (whose priors core damps) or resolves.
+// the hard-question band (which core withholds from later batches) or
+// resolves.
 func TestInferPosteriorEdgeCases(t *testing.T) {
 	th := DefaultThresholds()
 	lbl := func(lam float64, match bool) Label {
@@ -117,7 +118,7 @@ func TestInferPosteriorEdgeCases(t *testing.T) {
 		{"worse-than-chance-clamped", 0.5, []Label{lbl(0.2, false)}, -1, Unresolved},
 		// Accept boundary: one λ=0.8 match label at prior 0.5 gives
 		// post = 0.5/(0.5+0.5·0.25) = 0.8 exactly — on the boundary the
-		// question resolves (≥), it is not damped as hard.
+		// question resolves (≥), it is not marked hard.
 		{"accept-boundary-exact", 0.5, []Label{lbl(0.8, true)}, 0.8, IsMatch},
 		// Just inside the band: λ=0.79 keeps the posterior below 0.8, so
 		// the question stays hard.

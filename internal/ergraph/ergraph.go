@@ -268,20 +268,6 @@ func (g *Graph) OutIndexesAt(i int) []int32 { return g.outIdx[i] }
 // (do not modify).
 func (g *Graph) InIndexesAt(i int) []int32 { return g.inIdx[i] }
 
-// OutByLabel groups the out-neighborhood of p by edge label. The map's
-// value slices preserve edge order.
-func (g *Graph) OutByLabel(p pair.Pair) map[RelPair][]Edge {
-	out := g.Out(p)
-	if len(out) == 0 {
-		return nil
-	}
-	m := make(map[RelPair][]Edge)
-	for _, e := range out {
-		m[e.Label] = append(m[e.Label], e)
-	}
-	return m
-}
-
 // LabelGroup is the out-edges of one vertex under one label, with the
 // dense to-index of each edge in the parallel To slice.
 type LabelGroup struct {
@@ -293,7 +279,7 @@ type LabelGroup struct {
 // OutGroupsAt groups vertex i's out edges by label, groups sorted by
 // RelPair.Less — (R1, R2, Inverse), so labels differing only in direction
 // process in a specified order. Per-group edge order preserves the stored
-// edge order (ascending To), exactly the sequences OutByLabel yields.
+// edge order (ascending To).
 func (g *Graph) OutGroupsAt(i int) []LabelGroup {
 	es := g.out[i]
 	if len(es) == 0 {

@@ -100,21 +100,6 @@ func TestEdgeSymmetryOfIndexes(t *testing.T) {
 	}
 }
 
-func TestOutByLabel(t *testing.T) {
-	g, ps := buildFig1()
-	byLabel := g.OutByLabel(ps["joan"])
-	if len(byLabel) != 2 {
-		t.Fatalf("joan should have 2 distinct labels, got %d", len(byLabel))
-	}
-	total := 0
-	for _, es := range byLabel {
-		total += len(es)
-	}
-	if total != len(g.Out(ps["joan"])) {
-		t.Error("OutByLabel lost edges")
-	}
-}
-
 // TestDenseIndexesMirrorEdges pins the outIdx/inIdx arrays to the edge
 // lists: every dense index must name exactly the edge's endpoint, in the
 // parent graph and in an induced subgraph.

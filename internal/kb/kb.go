@@ -154,9 +154,6 @@ func (k *KB) AddRel(name string) RelID {
 	return id
 }
 
-// RelName returns the interned name of r.
-func (k *KB) RelName(r RelID) string { return k.relNames[r] }
-
 // Rel returns the ID of the named relationship, or -1.
 func (k *KB) Rel(name string) RelID {
 	if id, ok := k.relIdx[name]; ok {

@@ -32,7 +32,7 @@ func TestLoadgenOracleEquivalence(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			srv := server.New(nil)
+			srv := server.New()
 			ts := httptest.NewServer(srv.Handler())
 			defer ts.Close()
 

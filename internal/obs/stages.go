@@ -22,10 +22,10 @@ const (
 	// (incremental recompute or rebuild) plus candidate gathering.
 	StageInfer
 	// StageSelect is multiple-questions selection: benefit scoring,
-	// ranked merge across shards and batch padding.
+	// the score-ordered merge across shards and batch padding.
 	StageSelect
 	// StageApply is answer application: truth inference, match
-	// confirmation, competitor detachment, prior damping.
+	// confirmation, competitor detachment, hard-question marking.
 	StageApply
 	// StageReestimate is the batch tail's model refresh: hybrid monotone
 	// inference plus consistency/probability re-estimation.

@@ -24,32 +24,27 @@ type Candidate struct {
 }
 
 // Strategy selects up to mu questions from candidates.
+//
+// Every built-in strategy's selection over a disjoint union of candidate
+// sets equals the score-ordered merge of the per-set selections: a score
+// depends only on the candidate and the previously chosen candidates
+// whose Inferred sets overlap it, and inferred sets never cross shards.
+// The sharded loop relies on this to select per shard concurrently and
+// draw the global µ-batch across shards by expected benefit.
 type Strategy interface {
-	// Select returns the chosen candidate indexes, highest priority first.
-	Select(cands []Candidate, mu int) []int
+	// Select returns the chosen candidates, highest priority first, with
+	// non-increasing scores.
+	Select(cands []Candidate, mu int) []Pick
 }
 
-// Pick is one ranked selection: a candidate index plus the score the
-// strategy committed it at — the marginal benefit for Greedy, the sort key
-// for the heuristics. Within one SelectRanked call scores are
-// non-increasing (benefit is submodular; the heuristics sort), which is
-// what lets a scheduler merge independent shards' sequences by score.
+// Pick is one selection: a candidate index plus the score the strategy
+// committed it at — the marginal benefit for Greedy, the sort key for the
+// heuristics. Within one Select call scores are non-increasing (benefit
+// is submodular; the heuristics sort), which is what lets a scheduler
+// merge independent shards' sequences by score.
 type Pick struct {
 	Index int
 	Score float64
-}
-
-// Ranked is implemented by strategies whose selection over a disjoint
-// union of candidate sets equals the score-ordered merge of the per-set
-// selections. All built-in strategies qualify: their scores depend only on
-// a candidate and the previously chosen candidates whose Inferred sets
-// overlap it, and inferred sets never cross shards. The sharded loop uses
-// this to select per shard concurrently and draw the global µ-batch across
-// shards by expected benefit.
-type Ranked interface {
-	Strategy
-	// SelectRanked is Select, annotated with commit scores.
-	SelectRanked(cands []Candidate, mu int) []Pick
 }
 
 // Greedy is Algorithm 3: lazy greedy maximization of benefit(Q).
@@ -134,23 +129,14 @@ func (s *benefitState) add(c Candidate) {
 	}
 }
 
-// Select implements Strategy.
-func (g Greedy) Select(cands []Candidate, mu int) []int {
-	picks := g.SelectRanked(cands, mu)
-	out := make([]int, len(picks))
-	for i, p := range picks {
-		out[i] = p.Index
-	}
-	return out
-}
-
-// SelectRanked implements Ranked: the lazy greedy of Select, returning the
-// marginal benefit each question was committed at. The only allocation in
-// the steady state is the returned picks: the priority queue lives in the
-// pooled benefit state and amortizes across calls like bp/stamp do.
+// Select implements Strategy: lazy greedy maximization, scoring each
+// question by the marginal benefit it was committed at. The only
+// allocation in the steady state is the returned picks: the priority
+// queue lives in the pooled benefit state and amortizes across calls
+// like bp/stamp do.
 //
 //remp:hotpath
-func (Greedy) SelectRanked(cands []Candidate, mu int) []Pick {
+func (Greedy) Select(cands []Candidate, mu int) []Pick {
 	if mu <= 0 || len(cands) == 0 {
 		return nil
 	}
@@ -206,40 +192,22 @@ func Benefit(cands []Candidate, chosen []int) float64 {
 // match probability (Figure 5 baseline).
 type MaxInf struct{}
 
-// Select implements Strategy.
-func (MaxInf) Select(cands []Candidate, mu int) []int {
+// Select implements Strategy with the inferred-set size as the score.
+func (MaxInf) Select(cands []Candidate, mu int) []Pick {
 	return topBy(cands, mu, func(c Candidate) float64 { return float64(len(c.Inferred)) })
-}
-
-// SelectRanked implements Ranked with the inferred-set size as the score.
-func (m MaxInf) SelectRanked(cands []Candidate, mu int) []Pick {
-	return ranked(cands, m.Select(cands, mu), func(c Candidate) float64 { return float64(len(c.Inferred)) })
 }
 
 // MaxPr picks the questions with the highest match probability, ignoring
 // inference power (Figure 5 baseline).
 type MaxPr struct{}
 
-// Select implements Strategy.
-func (MaxPr) Select(cands []Candidate, mu int) []int {
+// Select implements Strategy with the match probability as the score.
+func (MaxPr) Select(cands []Candidate, mu int) []Pick {
 	return topBy(cands, mu, func(c Candidate) float64 { return c.Prob })
 }
 
-// SelectRanked implements Ranked with the match probability as the score.
-func (m MaxPr) SelectRanked(cands []Candidate, mu int) []Pick {
-	return ranked(cands, m.Select(cands, mu), func(c Candidate) float64 { return c.Prob })
-}
-
-// ranked annotates a Select result with its sort scores.
-func ranked(cands []Candidate, idxs []int, score func(Candidate) float64) []Pick {
-	out := make([]Pick, len(idxs))
-	for i, idx := range idxs {
-		out[i] = Pick{Index: idx, Score: score(cands[idx])}
-	}
-	return out
-}
-
-func topBy(cands []Candidate, mu int, score func(Candidate) float64) []int {
+// topBy picks the mu candidates of highest score, ties by pair order.
+func topBy(cands []Candidate, mu int, score func(Candidate) float64) []Pick {
 	if mu <= 0 || len(cands) == 0 {
 		return nil
 	}
@@ -254,10 +222,11 @@ func topBy(cands []Candidate, mu int, score func(Candidate) float64) []int {
 		}
 		return cands[idx[a]].Pair.Less(cands[idx[b]].Pair)
 	})
-	if mu > len(idx) {
-		mu = len(idx)
+	out := make([]Pick, min(mu, len(idx)))
+	for i := range out {
+		out[i] = Pick{Index: idx[i], Score: score(cands[idx[i]])}
 	}
-	return idx[:mu]
+	return out
 }
 
 // gainItem and gainHeap implement the lazy-greedy priority queue as a

@@ -17,13 +17,22 @@ func mk(i int, prob float64, inferred ...int) Candidate {
 	}
 }
 
+// indexes strips the scores off a selection.
+func indexes(picks []Pick) []int {
+	out := make([]int, len(picks))
+	for i, p := range picks {
+		out[i] = p.Index
+	}
+	return out
+}
+
 func TestGreedyPicksLargestBenefit(t *testing.T) {
 	cands := []Candidate{
 		mk(0, 0.9, 0, 1, 2, 3), // high prob, wide inference
 		mk(1, 0.9, 1),          // high prob, narrow
 		mk(2, 0.1, 0, 1, 2, 3), // low prob, wide
 	}
-	got := Greedy{}.Select(cands, 1)
+	got := indexes(Greedy{}.Select(cands, 1))
 	if len(got) != 1 || got[0] != 0 {
 		t.Errorf("Select = %v, want [0]", got)
 	}
@@ -37,7 +46,7 @@ func TestGreedyCoversDisjointRegions(t *testing.T) {
 		mk(1, 0.9, 0, 1, 2),
 		mk(2, 0.9, 3, 4),
 	}
-	got := Greedy{}.Select(cands, 2)
+	got := indexes(Greedy{}.Select(cands, 2))
 	if len(got) != 2 {
 		t.Fatalf("Select = %v", got)
 	}
@@ -140,7 +149,7 @@ func TestGreedyApproximationGuarantee(t *testing.T) {
 			}
 			cands = append(cands, mk(i, 0.1+0.9*rng.Float64(), inf...))
 		}
-		chosen := Greedy{}.Select(cands, mu)
+		chosen := indexes(Greedy{}.Select(cands, mu))
 		gb := Benefit(cands, chosen)
 		best := bruteForceBest(cands, mu)
 		if gb < (1-1/math.E)*best-1e-9 {
@@ -186,7 +195,7 @@ func TestMaxInfStrategy(t *testing.T) {
 		mk(1, 0.1, 0, 1, 2, 3, 4),
 		mk(2, 0.5, 0, 1),
 	}
-	got := MaxInf{}.Select(cands, 2)
+	got := indexes(MaxInf{}.Select(cands, 2))
 	if got[0] != 1 || got[1] != 2 {
 		t.Errorf("MaxInf = %v, want [1 2]", got)
 	}
@@ -198,7 +207,7 @@ func TestMaxPrStrategy(t *testing.T) {
 		mk(1, 0.1, 0, 1, 2, 3, 4),
 		mk(2, 0.5, 0, 1),
 	}
-	got := MaxPr{}.Select(cands, 2)
+	got := indexes(MaxPr{}.Select(cands, 2))
 	if got[0] != 0 || got[1] != 2 {
 		t.Errorf("MaxPr = %v, want [0 2]", got)
 	}

@@ -19,7 +19,6 @@
 //	GET    /healthz                liveness: always 200 with uptime/session/store detail
 //	GET    /readyz                 readiness: 503 once the server begins draining
 //	GET    /metrics                Prometheus text exposition (?format=json for a JSON snapshot)
-//	GET    /debug/vars             expvar counters (remp_server map)
 //
 // Sessions created from the same dataset share a answer cache, so two
 // concurrent jobs over one dataset never post the same pair twice.
@@ -45,7 +44,6 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"errors"
-	"expvar"
 	"fmt"
 	"log"
 	"log/slog"
@@ -62,11 +60,6 @@ import (
 	"repro/internal/session"
 	"repro/remp"
 )
-
-// stats is the process-wide expvar counter map, exported as
-// "remp_server" under GET /debug/vars. Counters are cumulative across
-// all Server instances in the process.
-var stats = expvar.NewMap("remp_server")
 
 // OptionsDTO is the JSON form of remp.Options.
 type OptionsDTO struct {
@@ -210,7 +203,6 @@ type Server struct {
 	mu            sync.Mutex
 	meta          map[string]*sessionMeta
 	refs          map[string]string // CreateRequest.ClientRef → session ID
-	logf          func(format string, args ...any)
 	log           *slog.Logger
 	metrics       *serverMetrics
 	reqID         atomic.Int64
@@ -228,11 +220,8 @@ type Server struct {
 
 // Config configures a Server.
 type Config struct {
-	// Logf receives one line per request outcome; nil disables logging.
-	// Ignored when Logger is set.
-	Logf func(format string, args ...any)
 	// Logger is the structured logger for request and session events;
-	// when nil, one is derived from Logf (or logging is disabled).
+	// nil disables logging.
 	Logger *slog.Logger
 	// Store is the session store the server journals into and recovers
 	// from; nil selects the in-memory store (no durability).
@@ -249,15 +238,14 @@ type Config struct {
 	ClusterFaults *cluster.Faults
 	// ClusterTuning overrides the coordinator's timing knobs (heartbeat
 	// cadence, liveness and RPC timeouts, retry backoff). Its Workers,
-	// Faults, Metrics and Logf fields are ignored — the server wires
+	// Faults, Metrics and Logger fields are ignored — the server wires
 	// those itself. Zero fields keep the coordinator defaults.
 	ClusterTuning cluster.CoordinatorConfig
 }
 
-// New returns a server over an in-memory store. logf receives one line
-// per request outcome; nil disables logging.
-func New(logf func(format string, args ...any)) *Server {
-	srv, _, err := NewServer(Config{Logf: logf})
+// New returns a server over an in-memory store, with logging disabled.
+func New() *Server {
+	srv, _, err := NewServer(Config{})
 	if err != nil {
 		panic(err) // unreachable: an empty in-memory store cannot fail recovery
 	}
@@ -271,11 +259,7 @@ func New(logf func(format string, args ...any)) *Server {
 func NewServer(cfg Config) (*Server, []string, error) {
 	logger := cfg.Logger
 	if logger == nil {
-		if cfg.Logf != nil {
-			logger = slog.New(&logfHandler{logf: cfg.Logf})
-		} else {
-			logger = slog.New(discardHandler{})
-		}
+		logger = slog.New(discardHandler{})
 	}
 	store := cfg.Store
 	kind := "disk"
@@ -301,7 +285,7 @@ func NewServer(cfg Config) (*Server, []string, error) {
 		cc.Workers = cfg.Workers
 		cc.Faults = cfg.ClusterFaults
 		cc.Metrics = metrics.cluster
-		cc.Logf = func(format string, args ...any) { logger.Info(fmt.Sprintf(format, args...)) }
+		cc.Logger = logger
 		var cerr error
 		if co, cerr = cluster.NewCoordinator(cc); cerr != nil {
 			return nil, nil, cerr
@@ -316,7 +300,6 @@ func NewServer(cfg Config) (*Server, []string, error) {
 		storeKind:     kind,
 		cluster:       co,
 	}
-	s.logf = func(format string, args ...any) { logger.Info(fmt.Sprintf(format, args...)) }
 	// Recovery re-prepares each stored session's pipeline from the
 	// CreateRequest persisted as its meta blob; the specs seen along the
 	// way rebuild the server-side metadata map.
@@ -344,7 +327,6 @@ func NewServer(cfg Config) (*Server, []string, error) {
 				s.refs[m.spec.ClientRef] = id
 			}
 		}
-		stats.Add("sessions_recovered", 1)
 		metrics.sessionsRecovered.Inc()
 	}
 	if len(recovered) > 0 {
@@ -457,7 +439,6 @@ func (s *Server) Handler() http.Handler {
 	root.HandleFunc("GET /healthz", s.handleHealthz)
 	root.HandleFunc("GET /readyz", s.handleReadyz)
 	root.HandleFunc("GET /metrics", s.handleMetrics)
-	root.Handle("GET /debug/vars", expvar.Handler())
 	return root
 }
 
@@ -483,7 +464,6 @@ func (s *Server) gate(h http.Handler) http.Handler {
 			refuseDraining(w)
 			return
 		}
-		stats.Add("requests", 1)
 		h.ServeHTTP(w, r)
 	})
 }
@@ -603,7 +583,7 @@ func (s *Server) handleCreate(w http.ResponseWriter, r *http.Request) {
 		s.mu.Unlock()
 		if ok {
 			if sess, live := s.mgr.Get(id); live {
-				s.logf("create with known client_ref %q: returning session %s", req.ClientRef, id)
+				s.log.Info("create with known client_ref", "client_ref", req.ClientRef, "session", id)
 				writeJSON(w, http.StatusOK, s.info(sess, true))
 				return
 			}
@@ -642,7 +622,6 @@ func (s *Server) handleCreate(w http.ResponseWriter, r *http.Request) {
 		s.refs[req.ClientRef] = sess.ID()
 	}
 	s.mu.Unlock()
-	stats.Add("sessions_created", 1)
 	s.metrics.sessionsCreated.Inc()
 	s.log.Info("session created", "session", sess.ID(), "namespace", namespace)
 	writeJSON(w, http.StatusCreated, s.info(sess, true))
@@ -688,7 +667,6 @@ func (s *Server) handleRestore(w http.ResponseWriter, r *http.Request) {
 		s.refs[dto.Create.ClientRef] = sess.ID()
 	}
 	s.mu.Unlock()
-	stats.Add("sessions_restored", 1)
 	s.metrics.sessionsRestored.Inc()
 	s.log.Info("session restored", "session", sess.ID(), "namespace", namespace)
 	writeJSON(w, http.StatusCreated, s.info(sess, true))
@@ -759,8 +737,6 @@ func (s *Server) handleAnswers(w http.ResponseWriter, r *http.Request) {
 		}
 		resp.Accepted++
 	}
-	stats.Add("answers_accepted", int64(resp.Accepted))
-	stats.Add("answers_rejected", int64(len(resp.Rejected)))
 	s.metrics.answersAccepted.Add(int64(resp.Accepted))
 	s.metrics.answersRejected.Add(int64(len(resp.Rejected)))
 	s.log.Info("answers delivered", "session", sess.ID(), "accepted", resp.Accepted, "rejected", len(resp.Rejected))
@@ -829,7 +805,6 @@ func (s *Server) handleDelete(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	s.mu.Unlock()
-	stats.Add("sessions_deleted", 1)
 	s.metrics.sessionsDeleted.Inc()
 	s.log.Info("session deleted", "session", id)
 	w.WriteHeader(http.StatusNoContent)

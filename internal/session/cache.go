@@ -35,6 +35,7 @@ type Cache struct {
 	k1, k2       string               // canonical KB orientation ("" until a session attaches)
 	oriented     bool
 	ded          *deduce.Store
+	skips        atomic.Uint64 // sessions' live in-loop deduction skips
 	hits         atomic.Int64
 	misses       atomic.Int64
 	reservations atomic.Int64
@@ -123,8 +124,18 @@ func (c *Cache) deduce(q pair.Pair) deduce.Verdict {
 	return v
 }
 
-// DeduceStats returns the namespace deduction-store counters.
-func (c *Cache) DeduceStats() deduce.Stats { return c.ded.Stats() }
+// countSkips adds n live in-loop deduction skips of a namespace session
+// to the namespace's deduction hits: a skipped question is a crowd
+// question answered by deduction, exactly like a namespace-tier hit.
+func (c *Cache) countSkips(n int) { c.skips.Add(uint64(n)) }
+
+// DeduceStats returns the namespace deduction counters: the store's own,
+// with Hits also counting the sessions' live in-loop skips.
+func (c *Cache) DeduceStats() deduce.Stats {
+	st := c.ded.Stats()
+	st.Hits += c.skips.Load()
+	return st
+}
 
 // reserve claims q for owner. It reports whether owner holds the claim and
 // should publish the question; false means the pair is already answered

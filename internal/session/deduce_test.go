@@ -340,3 +340,55 @@ func TestCrossSessionDeduction(t *testing.T) {
 	drive(t, s, gold.IsMatch)
 	assertResultsIdentical(t, want, s.Result())
 }
+
+// TestDeduceHitsCountLoopSkips pins the namespace hit counter to the
+// questions deduction actually saved. A lone Deduce-on session's own
+// facts imply everything the namespace tier could deduce for it, so its
+// namespace hits must equal its Result.Deduced — the in-loop skips. A
+// session restored into a second manager counts only the skips it makes
+// live there: the replayed prefix was counted by the first, so the two
+// managers' hits sum to the finished session's Deduced.
+func TestDeduceHitsCountLoopSkips(t *testing.T) {
+	k1, k2, gold := bookWorld(10, 41)
+	mod := func(c *core.Config) { c.Deduce = true }
+
+	mgr := NewManager()
+	s, err := mgr.Create(core.Prepare(k1, k2, testConfig(mod)), "books", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	drive(t, s, gold.IsMatch)
+	deduced := s.Result().Deduced
+	if deduced == 0 {
+		t.Fatal("fixture too easy: the session deduced nothing")
+	}
+	if hits := mgr.DeduceStats()["books"].Hits; hits != uint64(deduced) {
+		t.Fatalf("namespace hits = %d, want the session's %d deduced questions", hits, deduced)
+	}
+
+	mgr1 := NewManager()
+	s1, err := mgr1.Create(core.Prepare(k1, k2, testConfig(mod)), "books", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for !s1.Done() && s1.Deduced() == 0 {
+		for _, q := range s1.NextBatch() {
+			if err := s1.Deliver(q.ID, FromCrowd(oracleLabels(gold, q.Pair))); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if s1.Done() || s1.Deduced() == 0 {
+		t.Fatalf("fixture must deduce before the snapshot point (done=%v, deduced=%d)", s1.Done(), s1.Deduced())
+	}
+	mgr2 := NewManager()
+	s2, err := mgr2.Restore(core.Prepare(k1, k2, testConfig(mod)), "books", nil, s1.Snapshot())
+	if err != nil {
+		t.Fatal(err)
+	}
+	drive(t, s2, gold.IsMatch)
+	hits1, hits2 := mgr1.DeduceStats()["books"].Hits, mgr2.DeduceStats()["books"].Hits
+	if hits1+hits2 != uint64(s2.Result().Deduced) {
+		t.Fatalf("hits %d before + %d after the restore, want %d deduced in total", hits1, hits2, s2.Result().Deduced)
+	}
+}

@@ -101,8 +101,9 @@ func (m *Manager) CacheStats() (hits, misses, reservations int64) {
 	return hits, misses, reservations
 }
 
-// DeduceStats returns each namespace's deduction-store counters: answers
-// served by transitive closure (hits), cluster merges (unions) and
+// DeduceStats returns each namespace's deduction counters: crowd
+// questions answered by transitive closure (hits — namespace-tier answers
+// plus the sessions' live in-loop skips), cluster merges (unions) and
 // contradictory facts dropped (conflicts). Namespaces whose sessions
 // never enabled deduction still appear — their stores record answers as
 // facts regardless, so the counters show cluster growth with zero hits.

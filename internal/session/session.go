@@ -145,6 +145,9 @@ type Session struct {
 	persist *persister // nil when the session is not journaled to a Store
 	k1, k2  string     // KB names of the session's pipeline orientation
 	flip    bool       // pipeline orientation is the reverse of the cache's
+	// skips is the loop's deduction-skip count already accounted for in
+	// the namespace hits (or absorbed uncounted, when replayed).
+	skips int
 }
 
 // New starts a session over a prepared pipeline. The loop only reads the
@@ -398,6 +401,7 @@ func (s *Session) joinCache(c *Cache) {
 // facts already imply are left alone (the drain skips them without any
 // answer, exactly as the synchronous driver would). Callers hold s.mu.
 func (s *Session) drainCache() {
+	defer s.countSkips()
 	if s.cache == nil {
 		return
 	}
@@ -427,4 +431,18 @@ outer:
 		return
 	}
 	s.cache.releaseOwned(s.id)
+}
+
+// countSkips adds the loop's deduction skips since the last count to the
+// namespace hits. Every live delivery path ends in drainCache, which
+// calls it; skips made while no cache is attached (the WAL suffix of a
+// recovery) and skips replayed from a snapshot are absorbed into the
+// baseline uncounted, because the process that made them live already
+// counted them. Callers hold s.mu.
+func (s *Session) countSkips() {
+	d := s.loop.Result().Deduced
+	if s.cache != nil && d > s.skips {
+		s.cache.countSkips(d - s.skips)
+	}
+	s.skips = d
 }

@@ -15,8 +15,8 @@ const SnapshotVersion = 1
 // Snapshot is a session's durable state: an event log rather than a state
 // dump. Because the loop applies answers in a deterministic order fixed by
 // question selection, replaying Applied through a freshly prepared
-// pipeline reconstructs the exact machine state — engine balls, damped
-// priors, resolved sets and all — without serializing any of it. Pending
+// pipeline reconstructs the exact machine state — engine balls, hard
+// questions, resolved sets and all — without serializing any of it. Pending
 // holds answers that had arrived out of order and were still buffered.
 // The snapshot does not carry the dataset or the options; the caller must
 // re-prepare the same pipeline (same KBs, same configuration) for Restore.
@@ -140,6 +140,7 @@ func Restore(p *core.Prepared, cache *Cache, snap *Snapshot) (*Session, error) {
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	s.skips = s.loop.Result().Deduced // replayed skips were counted live
 	s.drainCache()
 	return s, nil
 }

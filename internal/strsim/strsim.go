@@ -1,9 +1,9 @@
 // Package strsim provides the string normalization and similarity measures
 // used throughout the Remp pipeline: label tokenization with stemming,
-// Jaccard/Dice/cosine/overlap coefficients on token sets, Levenshtein edit
-// similarity, numeric and date similarity by maximum percentage difference,
-// and the extended Jaccard measure simL over sets of literals (Naumann &
-// Herschel, "An Introduction to Duplicate Detection").
+// the Jaccard coefficient on token sets, Levenshtein edit similarity,
+// numeric and date similarity by maximum percentage difference, and the
+// extended Jaccard measure simL over sets of literals (Naumann & Herschel,
+// "An Introduction to Duplicate Detection").
 //
 // All functions are pure and safe for concurrent use.
 package strsim
@@ -136,54 +136,6 @@ func Jaccard(a, b []string) float64 {
 		return 0
 	}
 	return float64(inter) / float64(union)
-}
-
-// Dice returns the Sørensen–Dice coefficient 2|a∩b| / (|a|+|b|).
-func Dice(a, b []string) float64 {
-	if len(a) == 0 || len(b) == 0 {
-		return 0
-	}
-	inter := intersectionSize(a, b)
-	return 2 * float64(inter) / float64(len(a)+len(b))
-}
-
-// Cosine returns the set cosine similarity |a∩b| / sqrt(|a||b|).
-func Cosine(a, b []string) float64 {
-	if len(a) == 0 || len(b) == 0 {
-		return 0
-	}
-	inter := intersectionSize(a, b)
-	return float64(inter) / sqrtf(float64(len(a))*float64(len(b)))
-}
-
-// Overlap returns the overlap coefficient |a∩b| / min(|a|,|b|).
-func Overlap(a, b []string) float64 {
-	if len(a) == 0 || len(b) == 0 {
-		return 0
-	}
-	inter := intersectionSize(a, b)
-	m := len(a)
-	if len(b) < m {
-		m = len(b)
-	}
-	return float64(inter) / float64(m)
-}
-
-func sqrtf(x float64) float64 {
-	if x <= 0 {
-		return 0
-	}
-	// Newton's method; inputs are small set-size products so a few
-	// iterations converge to machine precision.
-	z := x
-	for i := 0; i < 32; i++ {
-		nz := 0.5 * (z + x/z)
-		if nz == z {
-			break
-		}
-		z = nz
-	}
-	return z
 }
 
 // Levenshtein returns the edit distance between a and b using two-row

@@ -91,20 +91,6 @@ func TestJaccard(t *testing.T) {
 	}
 }
 
-func TestDiceCosineOverlap(t *testing.T) {
-	a := []string{"a", "b"}
-	b := []string{"b", "c", "d"}
-	if got := Dice(a, b); math.Abs(got-2.0/5.0) > 1e-12 {
-		t.Errorf("Dice = %v, want 0.4", got)
-	}
-	if got := Cosine(a, b); math.Abs(got-1/math.Sqrt(6)) > 1e-9 {
-		t.Errorf("Cosine = %v, want %v", got, 1/math.Sqrt(6))
-	}
-	if got := Overlap(a, b); math.Abs(got-0.5) > 1e-12 {
-		t.Errorf("Overlap = %v, want 0.5", got)
-	}
-}
-
 func TestLevenshtein(t *testing.T) {
 	cases := []struct {
 		a, b string
